@@ -9,7 +9,7 @@
     propagation links), so [reductions] accepts an optional {!Pool}.  Each
     state's computation is the same sequential code at any worker count
     and the merge walks states in index order, so the result is
-    independent of the pool size.  Hash tables are specialized to packed
+    independent of the pool size.  Hash tables are monomorphic over packed
     integer keys (items, and (state, item) pairs) — the polymorphic
     hash/equality on tuples otherwise shows up in the LALR profile. *)
 

@@ -5,7 +5,7 @@
 
     The frontier search is sequential (each new state can seed further
     states), so construction speed lives and dies on its constant
-    factors: the kernel index is a hash table specialized to item arrays
+    factors: the kernel index is a hash table monomorphic over item arrays
     (FNV-1a over the packed ints, monomorphic equality — no polymorphic
     [compare]/[Hashtbl.hash] walks), the closure's visited set is a byte
     table indexed by packed item, and the per-state grouping structures

@@ -13,10 +13,10 @@ type t = {
           built once at table-construction time; the driver's default
           dispatch path probes this representation *)
   hybrid : Compress.t option;
-      (** the profile-specialized hybrid (hot-flat / cold-comb) form,
-          present only when the bundle was built with a profile
-          ({!Compress.specialize}); [Driver.parse ~dispatch:Hybrid]
-          probes it and falls back to [compressed] when absent *)
+      (** always [None]: never read and never serialized.  Kept only
+          because the benchmark builds a bundle by record literal and
+          cannot change until its next revision; goes then, together
+          with [profile_digest]. *)
   compiled : Template.compiled option array;
       (** per production id; [None] for the augmentation productions *)
   n_user_prods : int;
@@ -25,11 +25,9 @@ type t = {
   hashes : Spec_hash.t;
       (** per-production content hashes of the spec this bundle was
           built from — the partial-build state an incremental rebuild
-          diffs against; persisted in the bundle (format v5) *)
+          diffs against; persisted in the bundle (format v6) *)
   profile_digest : string option;
-      (** {!Cogprof.digest} of the profile behind [hybrid], when the
-          bundle carries one; an incremental rebuild only splices the
-          hybrid table when the requested profile digests identically *)
+      (** always [None]; see [hybrid] *)
 }
 
 let class_of t sym = t.class_of.(sym)

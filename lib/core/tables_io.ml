@@ -308,14 +308,12 @@ let method_code : Compress.method_ -> int = function
   | Compress.Defaults_only -> 1
   | Compress.Comb_only -> 2
   | Compress.Defaults_and_comb -> 3
-  | Compress.Hybrid -> 4
 
 let method_of_code = function
   | 0 -> Compress.No_compression
   | 1 -> Compress.Defaults_only
   | 2 -> Compress.Comb_only
   | 3 -> Compress.Defaults_and_comb
-  | 4 -> Compress.Hybrid
   | k -> raise (Corrupt (Fmt.str "bad compression method %d" k))
 
 let w_int_arr b arr = w_arr b (fun b v -> w_i32 b v) arr
@@ -332,8 +330,6 @@ let w_compress b (c : Compress.t) =
   w_int_arr b c.Compress.offsets;
   w_int_arr b c.Compress.value;
   w_int_arr b c.Compress.check;
-  w_int_arr b c.Compress.hot_index;
-  w_int_arr b c.Compress.hot_value;
   w_i32 b c.Compress.size_bytes
 
 let r_compress r : Compress.t =
@@ -345,8 +341,6 @@ let r_compress r : Compress.t =
   let offsets = r_int_arr r in
   let value = r_int_arr r in
   let check = r_int_arr r in
-  let hot_index = r_int_arr r in
-  let hot_value = r_int_arr r in
   let size_bytes = r_i32 r in
   (* structural sanity so a corrupt entry surfaces as [Corrupt], never as
      an out-of-bounds probe at dispatch time *)
@@ -357,21 +351,8 @@ let r_compress r : Compress.t =
     || Array.length value <> Array.length check
     || Array.exists (fun rid -> rid < 0 || rid >= n_rows) row_index
   then raise (Corrupt "inconsistent compressed table");
-  (match method_ with
-  | Compress.Hybrid ->
-      if
-        Array.length hot_index <> n_states
-        || Array.length hot_value mod max 1 n_syms <> 0
-        || Array.exists
-             (fun h ->
-               h <> -1 && (h < 0 || h + n_syms > Array.length hot_value))
-             hot_index
-      then raise (Corrupt "inconsistent hybrid hot rows")
-  | _ ->
-      if Array.length hot_index <> 0 || Array.length hot_value <> 0 then
-        raise (Corrupt "hot rows on a non-hybrid table"));
   { Compress.n_states; n_syms; method_; row_index; defaults; offsets; value;
-    check; hot_index; hot_value; size_bytes }
+    check; size_bytes }
 
 let w_conflict b (c : Parse_table.conflict) =
   w_i32 b c.Parse_table.c_state;
@@ -392,13 +373,12 @@ let r_conflict r : Parse_table.conflict =
   let c_chosen = r_action r in
   { Parse_table.c_state; c_sym; c_kind; c_chosen; c_dropped = r_action r }
 
-(* v5 appendix: the incremental-rebuild metadata (per-production content
-   hashes, declaration/shape digests, lookahead mode, profile digest)
-   rides in the bundle behind its own magic, so a cached entry is a
+(* v6 appendix: the incremental-rebuild metadata (per-production content
+   hashes, declaration/shape digests, lookahead mode) rides in the bundle behind its own magic, so a cached entry is a
    complete partial build: a later process can diff an edited spec
    against it and splice (Cogg_build.build_incremental) without ever
    having seen the original spec text. *)
-let appendix_magic = "CGI5"
+let appendix_magic = "CGI6"
 
 let mode_code : Lookahead.mode -> int = function
   | Lookahead.Slr -> 0
@@ -409,10 +389,10 @@ let mode_of_code = function
   | 1 -> Lookahead.Lalr
   | k -> raise (Corrupt (Fmt.str "bad lookahead mode %d" k))
 
-(** Serialize a complete table bundle (format v5). *)
+(** Serialize a complete table bundle (format v6). *)
 let write (t : Tables.t) : string =
   let b = Buffer.create (1 lsl 16) in
-  Buffer.add_string b "CGB5";
+  Buffer.add_string b "CGB6";
   (* target; resolved through the registry on read *)
   w_str b t.Tables.target.Machine.Target.name;
   (* grammar *)
@@ -456,8 +436,6 @@ let write (t : Tables.t) : string =
   w_i32 b t.Tables.parse.Parse_table.automaton.Lr0.start;
   w_list b w_conflict t.Tables.parse.Parse_table.conflicts;
   w_compress b t.Tables.compressed;
-  (* the profile-specialized hybrid table, when the bundle carries one *)
-  w_opt b w_compress t.Tables.hybrid;
   (* templates and type info *)
   Buffer.add_string b (template_array_bytes t);
   w_i32 b t.Tables.n_user_prods;
@@ -474,18 +452,17 @@ let write (t : Tables.t) : string =
   w_str b t.Tables.hashes.Spec_hash.decls;
   w_str b t.Tables.hashes.Spec_hash.shape;
   w_arr b w_str t.Tables.hashes.Spec_hash.prods;
-  w_opt b w_str t.Tables.profile_digest;
   Buffer.contents b
 
 (** Reload a bundle written by {!write}.  The embedded LR(0) automaton is
     not stored: a placeholder with only the start state is rebuilt, which
     is all the driver needs (it reads actions, never items). *)
 let read (s : string) : Tables.t =
-  if String.length s < 4 || String.sub s 0 4 <> "CGB5" then
+  if String.length s < 4 || String.sub s 0 4 <> "CGB6" then
     raise
       (Corrupt
          (if String.length s >= 4 && String.sub s 0 3 = "CGB" then
-            Fmt.str "stale bundle format %s (want CGB5)" (String.sub s 0 4)
+            Fmt.str "stale bundle format %s (want CGB6)" (String.sub s 0 4)
           else "bad bundle magic"));
   let r = { buf = s; pos = 4 } in
   let target_name = r_str r in
@@ -567,7 +544,6 @@ let read (s : string) : Tables.t =
   let start = r_i32 r in
   let conflicts = r_list r r_conflict in
   let compressed = r_compress r in
-  let hybrid = r_opt r r_compress in
   let automaton =
     (* a skeletal automaton: the driver only needs the start state id *)
     {
@@ -595,7 +571,6 @@ let read (s : string) : Tables.t =
   let prod_hashes = r_arr r r_str in
   if Array.length prod_hashes <> n_user_prods then
     raise (Corrupt "production hash count does not match the bundle");
-  let profile_digest = r_opt r r_str in
   let parse = { Parse_table.grammar; automaton; mode; actions; conflicts } in
   {
     Tables.target;
@@ -603,11 +578,11 @@ let read (s : string) : Tables.t =
     symtab;
     parse;
     compressed;
-    hybrid;
+    hybrid = None;
     compiled;
     n_user_prods;
     class_of;
     kind_of;
     hashes = { Spec_hash.decls; shape; prods = prod_hashes };
-    profile_digest;
+    profile_digest = None;
   }

@@ -73,86 +73,48 @@ let exec (tables : Cogg.Tables.t) (source : string) : status =
                 Fail
                   ("mismatch: " ^ String.concat "; " v.Pipeline.mismatches)))
 
-(* -- oracle 2: dispatch equivalence (all pairs) ------------------------------- *)
+(* -- oracle 2: dispatch equivalence (flat = comb) ------------------------------ *)
 
-let generate dispatch tables toks =
-  Cogg.Codegen.generate ~dispatch tables toks
-
-(** The dispatch variants a bundle supports: flat and comb always, plus
-    hybrid whenever the bundle carries a profile-specialized table (under
-    [Driver.Hybrid] a bundle without one falls back to comb, which would
-    silently test comb twice — so it is only listed when real). *)
-let dispatch_variants (tables : Cogg.Tables.t) :
-    (string * Cogg.Driver.dispatch) list =
-  [ ("flat", Cogg.Driver.Flat); ("comb", Cogg.Driver.Comb) ]
-  @
-  match tables.Cogg.Tables.hybrid with
-  | Some _ -> [ ("hybrid", Cogg.Driver.Hybrid) ]
-  | None -> []
-
-(** Every pair of dispatch variants must be observationally identical:
-    same listing and object bytes on acceptance, same error position (an
-    index into the original token stream) on rejection.  Comb and hybrid
-    rows may take default reductions a flat row would not, but that is
-    allowed to change neither the emitted code nor where the error is
-    reported. *)
+(** Flat (the uncompressed oracle) and comb (the shipped layout)
+    dispatch must be observationally identical: same listing and object
+    bytes on acceptance, same error position (an index into the original
+    token stream) on rejection.  Comb rows may take default reductions a
+    flat row would not, but that is allowed to change neither the emitted
+    code nor where the error is reported. *)
 let dispatch (tables : Cogg.Tables.t) (toks : Ifl.Token.t list) : status =
   protect @@ fun () ->
-  let results =
-    List.map
-      (fun (name, d) -> (name, generate d tables toks))
-      (dispatch_variants tables)
-  in
   let bytes (r : Cogg.Codegen.result_t) =
     Bytes.to_string r.Cogg.Codegen.resolved.Cogg.Loader_gen.code
   in
-  let compare_pair (na, a) (nb, b) : status =
-    match (a, b) with
-    | Ok fa, Ok fb ->
-        if fa.Cogg.Codegen.listing <> fb.Cogg.Codegen.listing then
-          Fail
-            (Fmt.str "divergence: listings differ between %s and %s dispatch"
-               na nb)
-        else if bytes fa <> bytes fb then
-          Fail
-            (Fmt.str
-               "divergence: object bytes differ between %s and %s dispatch" na
-               nb)
-        else Pass
-    | ( Error (Cogg.Codegen.Parse_error ea),
-        Error (Cogg.Codegen.Parse_error eb) ) ->
-        if ea.Cogg.Driver.position = eb.Cogg.Driver.position then Pass
-        else
-          Fail
-            (Fmt.str "divergence: error position %s=%d %s=%d" na
-               ea.Cogg.Driver.position nb eb.Cogg.Driver.position)
-    | Error _, Error _ ->
-        (* both reject, but through different phases (e.g. a default
-           reduction reached the emitter first): positions are not
-           comparable, rejection agreement is what matters *)
-        Pass
-    | Ok _, Error e ->
+  let flat = Cogg.Codegen.generate ~dispatch:Cogg.Driver.Flat tables toks in
+  let comb = Cogg.Codegen.generate ~dispatch:Cogg.Driver.Comb tables toks in
+  match (flat, comb) with
+  | Ok f, Ok c ->
+      if f.Cogg.Codegen.listing <> c.Cogg.Codegen.listing then
+        Fail "divergence: listings differ between flat and comb dispatch"
+      else if bytes f <> bytes c then
+        Fail "divergence: object bytes differ between flat and comb dispatch"
+      else Pass
+  | Error (Cogg.Codegen.Parse_error ef), Error (Cogg.Codegen.Parse_error ec)
+    ->
+      if ef.Cogg.Driver.position = ec.Cogg.Driver.position then Pass
+      else
         Fail
-          (Fmt.str "divergence: %s rejected what %s accepted: %a" nb na
-             Cogg.Codegen.pp_error e)
-    | Error e, Ok _ ->
-        Fail
-          (Fmt.str "divergence: %s rejected what %s accepted: %a" na nb
-             Cogg.Codegen.pp_error e)
-  in
-  let rec all_pairs = function
-    | [] -> Pass
-    | a :: rest -> (
-        let rec against = function
-          | [] -> Pass
-          | b :: tl -> (
-              match compare_pair a b with
-              | Pass -> against tl
-              | st -> st)
-        in
-        match against rest with Pass -> all_pairs rest | st -> st)
-  in
-  all_pairs results
+          (Fmt.str "divergence: error position flat=%d comb=%d"
+             ef.Cogg.Driver.position ec.Cogg.Driver.position)
+  | Error _, Error _ ->
+      (* both reject, but through different phases (e.g. a default
+         reduction reached the emitter first): positions are not
+         comparable, rejection agreement is what matters *)
+      Pass
+  | Ok _, Error e ->
+      Fail
+        (Fmt.str "divergence: comb rejected what flat accepted: %a"
+           Cogg.Codegen.pp_error e)
+  | Error e, Ok _ ->
+      Fail
+        (Fmt.str "divergence: flat rejected what comb accepted: %a"
+           Cogg.Codegen.pp_error e)
 
 (* -- cross-backend differential execution -------------------------------------- *)
 
@@ -273,7 +235,6 @@ let total (tables : Cogg.Tables.t) (toks : Ifl.Token.t list) : status =
   in
   probe Cogg.Driver.Flat;
   probe Cogg.Driver.Comb;
-  if tables.Cogg.Tables.hybrid <> None then probe Cogg.Driver.Hybrid;
   Pass
 
 (** Same totality contract for the textual reader path. *)

@@ -12,7 +12,8 @@
     results are answered inline while misses wait for the compile
     pool). *)
 
-type dispatch = Default | Flat | Comb | Hybrid
+type dispatch = Default | Flat | Comb
+(** Wire bytes 0, 1 and 2; any other byte is a decode error. *)
 
 type options = {
   cse : bool option;  (** [None] = server default (the {!Pipeline.compile} default) *)

@@ -104,6 +104,21 @@ let rec rewrite ?(root_ok = true) (choice : (string, chosen) Hashtbl.t)
       Tree.node "use_common" [ Tree.Node (Token.cse "cse" c.id, []) ]
   | None -> Tree.Node (t, rewrite_kids ())
 
+(* Reserve the temporary for the repeated subtree [k] and record the
+   choice.  False when the frame has no room left for it: the subtree
+   stays uncommoned, which costs code size, never correctness, and the
+   failed placement leaves the frame and the CSE numbering untouched. *)
+let place (st : state) tbl choice k =
+  let id = st.next_cse in
+  match Layout.temp st.frame (Fmt.str "cse-%d" id) with
+  | temp ->
+      st.next_cse <- id + 1;
+      st.temps <- (id, temp) :: st.temps;
+      Hashtbl.replace choice k
+        { id; total = Hashtbl.find tbl k; seen = 0; temp };
+      true
+  | exception Layout.Frame_overflow _ -> false
+
 (** Optimize one statement tree.  [state] carries the CSE numbering and
     the frame that provides temporaries. *)
 let optimize_statement (st : state) (tree : Tree.t) : Tree.t =
@@ -119,22 +134,14 @@ let optimize_statement (st : state) (tree : Tree.t) : Tree.t =
          nothing below it can need its own CSE *)
       ()
     else if
-      root_ok
-      && eligible_root t.Token.sym
-      && Tree.size tr >= min_nodes
-      && pure tr
-      && Option.value (Hashtbl.find_opt tbl k) ~default:0 >= 2
-    then begin
-      let id = st.next_cse in
-      st.next_cse <- id + 1;
-      let temp = Layout.temp st.frame (Fmt.str "cse-%d" id) in
-      st.temps <- (id, temp) :: st.temps;
-      Hashtbl.replace choice k
-        { id; total = Hashtbl.find tbl k; seen = 0; temp }
-      (* descendants are not explored: their copies disappear with the
-         replacement *)
-    end
-    else
+      not
+        (root_ok
+        && eligible_root t.Token.sym
+        && Tree.size tr >= min_nodes
+        && pure tr
+        && Option.value (Hashtbl.find_opt tbl k) ~default:0 >= 2
+        && place st tbl choice k)
+    then
       List.iteri
         (fun i kid -> choose ~root_ok:(not (positional t.Token.sym i)) kid)
         kids

@@ -67,16 +67,15 @@ let create () =
     page_limit = 4096;
   }
 
-let align t a = t.next <- (t.next + a - 1) / a * a
-
+(* A placement that does not fit raises before touching the frame, so a
+   caller may catch [Frame_overflow] and go on with the frame as it was. *)
 let reserve t name size al =
-  align t al;
-  let disp = t.next in
-  t.next <- t.next + size;
-  if t.next > t.page_limit then
+  let disp = (t.next + al - 1) / al * al in
+  if disp + size > t.page_limit then
     raise
       (Frame_overflow
          (Fmt.str "frame exceeds one page (4096 bytes) placing %s" name));
+  t.next <- disp + size;
   disp
 
 let add_var t (d : Ast.var_decl) : var_info =

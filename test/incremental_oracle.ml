@@ -10,8 +10,8 @@
    any worker count, the same discipline the batch determinism suite
    established for parallel builds.
 
-   Also here: the v4->v5 bundle-format gate (a stale-format cache entry
-   is rejected as corrupt and migrated by a clean rebuild) and the
+   Also here: the bundle-format gate (a stale-format CGB4 or CGB5 cache
+   entry is rejected as corrupt and migrated by a clean rebuild) and the
    cross-process cache path (a miss on an edited spec follows the
    lineage pointer and splices). *)
 
@@ -221,7 +221,7 @@ let oracle_tests ~pool () =
         s.name)
     (Lazy.force subjects)
 
-(* -- format gate: v4 bundles are rejected and migrated ------------------------ *)
+(* -- format gate: stale bundles are rejected and migrated --------------------- *)
 
 let fresh_cache_dir () =
   let path = Filename.temp_file "cogg-incr-oracle" "" in
@@ -229,41 +229,70 @@ let fresh_cache_dir () =
   path
 
 let format_gate_tests ~pool () =
-  (* a v4-era bundle prefix must be rejected as corrupt by the reader... *)
-  (match Cogg.Tables_io.read ("CGB4" ^ String.make 64 '\000') with
-  | exception Cogg.Tables_io.Corrupt m ->
-      if not (String.length m > 0) then fail "empty corrupt message"
-  | _ -> fail "a CGB4 bundle was accepted by the v5 reader");
-  (* ...and a cache entry holding one must migrate: clean miss, scratch
-     rebuild, entry rewritten in the current format *)
   let s = List.hd (Lazy.force subjects) in
-  let dir = fresh_cache_dir () in
-  let path =
-    Cogg.Tables_cache.entry_path ~cache_dir:dir ~target:s.target s.text
+  let current =
+    match Cogg.Cogg_build.build_string ~pool ~target:s.target s.text with
+    | Ok t -> Cogg.Tables_io.write t
+    | Error es -> fail "scratch build failed: %s" (errors_str es)
   in
-  Cogg.Tables_cache.(ignore (prune ~cache_dir:dir ()));
-  (match Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target s.text with
-  | Ok (_, Cogg.Tables_cache.Built) -> ()
-  | Ok (_, o) ->
-      fail "expected a scratch build, got %s"
-        (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
-  | Error es -> fail "cache build failed: %s" (errors_str es));
-  let oc = open_out_bin path in
-  output_string oc ("CGB4" ^ String.make 64 '\000');
-  close_out oc;
-  (match Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target s.text with
-  | Ok (_, (Cogg.Tables_cache.Built | Cogg.Tables_cache.Built_incremental _))
-    -> ()
-  | Ok (_, Cogg.Tables_cache.Cache_hit) ->
-      fail "a stale-format entry was served as a hit"
-  | Error es -> fail "migration rebuild failed: %s" (errors_str es));
-  (match Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target s.text with
-  | Ok (_, Cogg.Tables_cache.Cache_hit) -> ()
-  | Ok (_, o) ->
-      fail "migrated entry should hit, got %s"
-        (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
-  | Error es -> fail "post-migration build failed: %s" (errors_str es));
-  Printf.printf "incremental oracle: v4->v5 rejection/migration ok\n%!"
+  (* older formats: a v4-era prefix, and a current bundle body behind
+     the previous format's magic *)
+  let stale =
+    [
+      ("CGB4", "CGB4" ^ String.make 64 '\000');
+      ("CGB5", "CGB5" ^ String.sub current 4 (String.length current - 4));
+    ]
+  in
+  List.iter
+    (fun (magic, bytes) ->
+      (* the reader must reject the bundle as corrupt... *)
+      (match Cogg.Tables_io.read bytes with
+      | exception Cogg.Tables_io.Corrupt m ->
+          let named =
+            let n = String.length magic in
+            let rec at i =
+              i + n <= String.length m && (String.sub m i n = magic || at (i + 1))
+            in
+            at 0
+          in
+          if not named then
+            fail "%s rejected without naming its format: %s" magic m
+      | _ -> fail "a %s bundle was accepted by the reader" magic);
+      (* ...and a cache entry holding it must migrate: clean miss,
+         scratch rebuild, entry rewritten in the current format *)
+      let dir = fresh_cache_dir () in
+      let path =
+        Cogg.Tables_cache.entry_path ~cache_dir:dir ~target:s.target s.text
+      in
+      let build () =
+        Cogg.Tables_cache.build_text ~pool ~cache_dir:dir ~target:s.target
+          s.text
+      in
+      (match build () with
+      | Ok (_, Cogg.Tables_cache.Built) -> ()
+      | Ok (_, o) ->
+          fail "expected a scratch build, got %s"
+            (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
+      | Error es -> fail "cache build failed: %s" (errors_str es));
+      let oc = open_out_bin path in
+      output_string oc bytes;
+      close_out oc;
+      (match build () with
+      | Ok (_, (Cogg.Tables_cache.Built | Cogg.Tables_cache.Built_incremental _))
+        -> ()
+      | Ok (_, Cogg.Tables_cache.Cache_hit) ->
+          fail "a stale %s entry was served as a hit" magic
+      | Error es -> fail "migration rebuild failed: %s" (errors_str es));
+      if read_file path <> current then
+        fail "the migrated %s entry is not the current bundle" magic;
+      (match build () with
+      | Ok (_, Cogg.Tables_cache.Cache_hit) -> ()
+      | Ok (_, o) ->
+          fail "migrated entry should hit, got %s"
+            (Fmt.str "%a" Cogg.Tables_cache.pp_origin o)
+      | Error es -> fail "post-migration build failed: %s" (errors_str es));
+      Printf.printf "incremental oracle: %s rejection/migration ok\n%!" magic)
+    stale
 
 (* -- cross-process path: an edited spec splices through the cache ------------- *)
 

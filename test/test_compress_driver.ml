@@ -6,6 +6,7 @@
 let check_int = Alcotest.(check int)
 
 let amdahl () = Lazy.force Util.amdahl_tables
+let risc32 () = Lazy.force Util.risc32_tables
 
 let all_methods =
   [
@@ -18,13 +19,10 @@ let all_methods =
 (* Default reductions may soften an Error entry into a Reduce (delayed
    error detection); any other disagreement is a packing bug. *)
 let softening_allowed = function
-  | Cogg.Compress.Defaults_only | Cogg.Compress.Defaults_and_comb
-  | Cogg.Compress.Hybrid ->
-      true
+  | Cogg.Compress.Defaults_only | Cogg.Compress.Defaults_and_comb -> true
   | Cogg.Compress.No_compression | Cogg.Compress.Comb_only -> false
 
-let test_per_entry_equivalence () =
-  let t = amdahl () in
+let per_entry_equivalence t =
   let pt = t.Cogg.Tables.parse in
   let n_syms = Cogg.Grammar.n_syms t.Cogg.Tables.grammar in
   List.iter
@@ -46,6 +44,9 @@ let test_per_entry_equivalence () =
       done)
     all_methods
 
+let test_per_entry_equivalence () = per_entry_equivalence (amdahl ())
+let test_per_entry_equivalence_risc32 () = per_entry_equivalence (risc32 ())
+
 (* The raw-integer probe the driver runs on and its decoded form must be
    two views of the same entry. *)
 let test_action_code_consistent () =
@@ -66,12 +67,14 @@ let test_action_code_consistent () =
 
 (* The table carried in Tables.t is the one Cogg_build packed; the driver
    probes it directly, so it must verify against the flat table. *)
-let test_carried_table_verifies () =
-  let t = amdahl () in
+let carried_table_verifies t =
   match Cogg.Compress.verify t.Cogg.Tables.compressed t.Cogg.Tables.parse with
   | Ok softened ->
       Alcotest.(check bool) "defaults soften some errors" true (softened > 0)
   | Error m -> Alcotest.fail m
+
+let test_carried_table_verifies () = carried_table_verifies (amdahl ())
+let test_carried_table_verifies_risc32 () = carried_table_verifies (risc32 ())
 
 let programs =
   [
@@ -80,17 +83,17 @@ let programs =
     ("appendix1", Pipeline.Programs.appendix1_equation);
   ]
 
-let compile_with dispatch src =
-  match Pipeline.compile ~dispatch (amdahl ()) src with
+let compile_with ?(tables = amdahl ()) dispatch src =
+  match Pipeline.compile ~dispatch tables src with
   | Ok c -> c
   | Error m -> Alcotest.failf "compile failed: %s" m
 
 (* End to end: both dispatch paths must produce byte-identical code. *)
-let test_flat_comb_identical_code () =
+let flat_comb_identical_code tables =
   List.iter
     (fun (name, src) ->
-      let flat = compile_with Cogg.Driver.Flat src in
-      let comb = compile_with Cogg.Driver.Comb src in
+      let flat = compile_with ~tables Cogg.Driver.Flat src in
+      let comb = compile_with ~tables Cogg.Driver.Comb src in
       Alcotest.(check string)
         (name ^ ": identical listings")
         flat.Pipeline.gen.Cogg.Codegen.listing
@@ -101,13 +104,18 @@ let test_flat_comb_identical_code () =
         comb.Pipeline.gen.Cogg.Codegen.resolved.Cogg.Loader_gen.code)
     programs
 
+let test_flat_comb_identical_code () = flat_comb_identical_code (amdahl ())
+
+let test_flat_comb_identical_code_risc32 () =
+  flat_comb_identical_code (risc32 ())
+
 (* Well-formed IF never exercises a softened (defaulted) entry on a path
    that changes the action sequence, so the parse statistics agree too. *)
-let test_outcomes_agree () =
+let outcomes_agree tables =
   List.iter
     (fun (name, src) ->
-      let flat = compile_with Cogg.Driver.Flat src in
-      let comb = compile_with Cogg.Driver.Comb src in
+      let flat = compile_with ~tables Cogg.Driver.Flat src in
+      let comb = compile_with ~tables Cogg.Driver.Comb src in
       let fo = flat.Pipeline.gen.Cogg.Codegen.outcome in
       let co = comb.Pipeline.gen.Cogg.Codegen.outcome in
       check_int (name ^ ": reductions") fo.Cogg.Driver.reductions
@@ -122,6 +130,9 @@ let test_outcomes_agree () =
         (co.Cogg.Driver.max_stack > 0
         && co.Cogg.Driver.max_stack <= co.Cogg.Driver.shifts))
     programs
+
+let test_outcomes_agree () = outcomes_agree (amdahl ())
+let test_outcomes_agree_risc32 () = outcomes_agree (risc32 ())
 
 (* The paper's section-1 machine and example statement (A := A + B): the
    parse is small and deterministic, pinning the statistics exactly (a
@@ -190,6 +201,36 @@ let test_invalid_if_rejected_both () =
       | Ok _ -> Alcotest.failf "%s: invalid IF accepted" name)
     [ ("flat", Cogg.Driver.Flat); ("comb", Cogg.Driver.Comb) ]
 
+(* Delete each token of a real program's IF in turn: comb may take
+   default reductions that flat would not, but the dispatch oracle's
+   contract must hold on every mutant — same code when both accept, the
+   same error position when both stop in the parser, and never one
+   accepting what the other rejects. *)
+let deletion_mutants_agree tables =
+  let toks =
+    match Pipeline.compile tables Pipeline.Programs.gcd with
+    | Ok c -> c.Pipeline.tokens
+    | Error m -> Alcotest.failf "gcd: %s" m
+  in
+  let rejected = ref 0 in
+  List.iteri
+    (fun i _ ->
+      let mutant = List.filteri (fun j _ -> j <> i) toks in
+      (match Cogg.Codegen.generate ~dispatch:Cogg.Driver.Flat tables mutant with
+      | Error _ -> incr rejected
+      | Ok _ -> ());
+      match Fuzz.Oracle.dispatch tables mutant with
+      | Fuzz.Oracle.Pass -> ()
+      | st ->
+          Alcotest.failf "token %d deleted: %a" i Fuzz.Oracle.pp_status st)
+    toks;
+  Alcotest.(check bool)
+    "some deletions are rejected (the check is not vacuous)" true
+    (!rejected > 0)
+
+let test_deletion_mutants_agree () = deletion_mutants_agree (amdahl ())
+let test_deletion_mutants_agree_risc32 () = deletion_mutants_agree (risc32 ())
+
 let () =
   Alcotest.run "compress_driver"
     [
@@ -201,6 +242,10 @@ let () =
             test_action_code_consistent;
           Alcotest.test_case "carried table verifies" `Quick
             test_carried_table_verifies;
+          Alcotest.test_case "per-entry, all methods (risc32)" `Quick
+            test_per_entry_equivalence_risc32;
+          Alcotest.test_case "carried table verifies (risc32)" `Quick
+            test_carried_table_verifies_risc32;
         ] );
       ( "end-to-end",
         [
@@ -209,6 +254,14 @@ let () =
           Alcotest.test_case "outcomes agree" `Quick test_outcomes_agree;
           Alcotest.test_case "invalid IF rejected" `Quick
             test_invalid_if_rejected_both;
+          Alcotest.test_case "deletion mutants agree" `Quick
+            test_deletion_mutants_agree;
+          Alcotest.test_case "deletion mutants agree (risc32)" `Quick
+            test_deletion_mutants_agree_risc32;
+          Alcotest.test_case "flat = comb code bytes (risc32)" `Quick
+            test_flat_comb_identical_code_risc32;
+          Alcotest.test_case "outcomes agree (risc32)" `Quick
+            test_outcomes_agree_risc32;
         ] );
       ( "stack accounting",
         [ Alcotest.test_case "exact max_stack" `Quick test_max_stack_exact ] );

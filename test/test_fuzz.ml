@@ -13,10 +13,7 @@ let env_int name default =
 let smoke_seed () = env_int "COGG_FUZZ_SEED" 11
 let smoke_count () = env_int "COGG_FUZZ_COUNT" 64
 
-(* the smoke batch runs against the hybrid-carrying bundle so the
-   dispatch oracle cross-checks all three variants (flat, comb, hybrid)
-   and the totality sweep probes the hybrid path too *)
-let tables () = Lazy.force Util.amdahl_tables_hybrid
+let tables () = Lazy.force Util.amdahl_tables
 
 (* -- the deterministic RNG --------------------------------------------------- *)
 
@@ -262,6 +259,38 @@ let test_guided_smoke () =
     true
     (Fuzz.Covmap.bigrams_covered gc >= Fuzz.Covmap.bigrams_covered rc)
 
+(* -- the dispatch oracle has teeth ---------------------------------------------- *)
+
+(* A comb table that lost its default reductions turns entries flat
+   reduces on into errors.  The dispatch oracle must pass the shipped
+   table on a real program and flag the broken one as a divergence. *)
+let test_dispatch_oracle_catches_broken_comb () =
+  let t = tables () in
+  let toks =
+    match Pipeline.compile t Pipeline.Programs.gcd with
+    | Ok c -> c.Pipeline.tokens
+    | Error m -> Alcotest.failf "gcd: %s" m
+  in
+  (match Fuzz.Oracle.dispatch t toks with
+  | Fuzz.Oracle.Pass -> ()
+  | st -> Alcotest.failf "shipped table: %a" Fuzz.Oracle.pp_status st);
+  let c = t.Cogg.Tables.compressed in
+  let no_defaults = Array.map (fun _ -> 0) c.Cogg.Compress.defaults in
+  let broken =
+    {
+      t with
+      Cogg.Tables.compressed = { c with Cogg.Compress.defaults = no_defaults };
+    }
+  in
+  match Fuzz.Oracle.dispatch broken toks with
+  | Fuzz.Oracle.Fail m ->
+      Alcotest.(check bool)
+        ("reported as a divergence: " ^ m)
+        true
+        (Fuzz.Oracle.failure_key "dispatch" (Fuzz.Oracle.Fail m)
+        = Some "dispatch/divergence")
+  | st -> Alcotest.failf "broken table: %a" Fuzz.Oracle.pp_status st
+
 (* -- replay lineage: the printed line IS the seed ------------------------------ *)
 
 let verdicts t ~cross input =
@@ -341,5 +370,10 @@ let () =
             test_guided_smoke;
           Alcotest.test_case "replay lineage property" `Quick
             test_replay_lineage_property;
+        ] );
+      ( "oracles",
+        [
+          Alcotest.test_case "dispatch oracle catches a broken comb table"
+            `Quick test_dispatch_oracle_catches_broken_comb;
         ] );
     ]

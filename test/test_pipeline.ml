@@ -86,6 +86,81 @@ let test_cse_actually_fires () =
             "CSE code is smaller" true
             (len c < len c0))
 
+(* Nine repeated subexpressions next to a 3456-byte array: the main
+   frame fits the program and the first four CSE temporaries, not the
+   fifth.  The optimizer must skip the candidates it cannot place and
+   leave the frame within its page.  The procedure's own frame still has
+   room, and its temporary must take the next id: a skipped candidate
+   consumes none. *)
+let cse_frame_overflow =
+  {|
+program cseoverflow;
+var i, j, k, s, t : integer;
+    a : array[1..864] of integer;
+procedure p;
+var u : integer;
+begin
+  u := (i * j + k) - (i * j + k);
+  s := s + u
+end;
+begin
+  i := 3; j := 5; k := 7; s := 0; t := 0;
+  s := (i + j * k) + (i + j * k);
+  t := (j + k * i) - (j + k * i);
+  s := s + (k + i * j) * (k + i * j);
+  t := t + (i - j * k) + (i - j * k);
+  s := s - (j - k * i) + (j - k * i);
+  t := t + (k - i * j) * (k - i * j);
+  s := s + (i + k * j) + (i + k * j);
+  t := t - (j + i * k) + (j + i * k);
+  s := s + (k + j * i) - (k + j * i);
+  p;
+  a[1] := s + t;
+  write(s);
+  write(t);
+  write(a[1])
+end.
+|}
+
+let test_cse_skips_unplaceable_temps () =
+  List.iter
+    (fun (tables : Cogg.Tables.t) ->
+      let target = tables.Cogg.Tables.target.Machine.Target.name in
+      List.iter
+        (fun cse ->
+          match Pipeline.verify ~cse tables cse_frame_overflow with
+          | Error m -> Alcotest.failf "%s (cse %b): %s" target cse m
+          | Ok v ->
+              if not v.Pipeline.agreed then
+                Alcotest.failf "%s (cse %b): %s" target cse
+                  (String.concat "; " v.Pipeline.mismatches))
+        [ true; false ];
+      match Pipeline.compile tables cse_frame_overflow with
+      | Error m -> Alcotest.fail m
+      | Ok c ->
+          let ids =
+            List.sort_uniq compare
+              (List.filter_map
+                 (fun (tok : Ifl.Token.t) ->
+                   match tok.Ifl.Token.value with
+                   | Ifl.Value.Cse n -> Some n
+                   | _ -> None)
+                 c.Pipeline.tokens)
+          in
+          Alcotest.(check (list int))
+            (target ^ ": ids numbered without gaps")
+            (List.init (List.length ids) (fun i -> i + 1))
+            ids;
+          Alcotest.(check bool)
+            (target ^ ": the procedure still gets its temporaries")
+            true
+            (List.length ids > 4);
+          Alcotest.(check int)
+            (target ^ ": frame filled to its page, not past it")
+            4096
+            (Shaper.Layout.frame_bytes c.Pipeline.shaped.Shaper.Irgen.main_frame))
+    [ tables (); Lazy.force Util.risc32_tables ]
+
 let test_subscript_check_catches () =
   let src =
     {|
@@ -267,7 +342,11 @@ let () =
           Alcotest.test_case "integral" `Quick test_integral_value;
         ] );
       ( "optimization",
-        [ Alcotest.test_case "CSE fires and shrinks code" `Quick test_cse_actually_fires ] );
+        [
+          Alcotest.test_case "CSE fires and shrinks code" `Quick test_cse_actually_fires;
+          Alcotest.test_case "CSE skips temporaries the frame cannot hold"
+            `Quick test_cse_skips_unplaceable_temps;
+        ] );
       ( "safety",
         [
           Alcotest.test_case "subscript check" `Quick test_subscript_check_catches;

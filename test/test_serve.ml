@@ -299,6 +299,78 @@ let test_oversized_substitute () =
         (String.length (Serve.Wire.encode_reply sub) <= Serve.Wire.max_frame)
   | _ -> Alcotest.fail "substitute lost the reply's id or shape"
 
+(* the dispatch option byte: every variant round-trips through the
+   request codec, and the retired byte 3 is a decode error,
+   not a silent fallback *)
+let test_dispatch_byte () =
+  let request dispatch =
+    Serve.Wire.Compile
+      {
+        id = 42;
+        options = { Serve.Wire.default_options with dispatch };
+        source = "program p; begin end.";
+      }
+  in
+  List.iter
+    (fun d ->
+      let r = request d in
+      match Serve.Wire.decode_request (Serve.Wire.encode_request r) with
+      | Ok r' when r' = r -> ()
+      | Ok _ -> Alcotest.fail "dispatch changed across the round trip"
+      | Error m -> Alcotest.failf "round trip failed: %s" m)
+    [ Serve.Wire.Default; Serve.Wire.Flat; Serve.Wire.Comb ];
+  let frame = Bytes.of_string (Serve.Wire.encode_request (request Serve.Wire.Comb)) in
+  Bytes.set frame 7 '\003';
+  match Serve.Wire.decode_request (Bytes.to_string frame) with
+  | Error m -> Alcotest.(check string) "rejection" "bad dispatch byte 3" m
+  | Ok _ -> Alcotest.fail "dispatch byte 3 decoded"
+
+(* only bytes 0-2 name a dispatch: every larger byte is a decode error
+   that names the byte *)
+let test_dispatch_byte_range () =
+  let frame =
+    Serve.Wire.encode_request
+      (Serve.Wire.Compile
+         { id = 7; options = Serve.Wire.default_options; source = "x" })
+  in
+  for byte = 3 to 255 do
+    let bad = Bytes.of_string frame in
+    Bytes.set bad 7 (Char.chr byte);
+    match Serve.Wire.decode_request (Bytes.to_string bad) with
+    | Error m ->
+        Alcotest.(check string) "rejection"
+          (Printf.sprintf "bad dispatch byte %d" byte)
+          m
+    | Ok _ -> Alcotest.failf "dispatch byte %d decoded" byte
+  done
+
+(* a request may pick either table layout: flat and comb dispatch serve
+   the bytes a direct comb compile produces *)
+let test_flat_and_comb_served_identically () =
+  let direct =
+    let t = Lazy.force Util.amdahl_tables in
+    match Pipeline.compile t Pipeline.Programs.gcd with
+    | Ok c -> (c.Pipeline.gen.Cogg.Codegen.listing, Pipeline.Batch.code_bytes c)
+    | Error m -> Alcotest.failf "direct compile failed: %s" m
+  in
+  with_daemon (fun sock ->
+      with_client sock (fun c ->
+          List.iter
+            (fun (name, dispatch) ->
+              let options = { Serve.Wire.default_options with dispatch } in
+              match Serve.Client.compile c ~options Pipeline.Programs.gcd with
+              | Ok (Serve.Wire.Compiled { outcome = Ok (listing, bytes); _ })
+                ->
+                  Alcotest.(check string) (name ^ " listing") (fst direct)
+                    listing;
+                  Alcotest.(check bool)
+                    (name ^ " object bytes")
+                    true
+                    (String.equal (snd direct) bytes)
+              | Ok _ -> Alcotest.failf "%s: not a successful compile" name
+              | Error m -> Alcotest.failf "%s: %s" name m)
+            [ ("flat", Serve.Wire.Flat); ("comb", Serve.Wire.Comb) ]))
+
 (* (h) Hello names the serving target, the stats report it too, and a
    daemon serving the second backend really compiles for it *)
 let test_hello_target () =
@@ -378,6 +450,8 @@ let () =
             test_restart_cold_warm;
           Alcotest.test_case "concurrent clients agree" `Quick
             test_concurrent_clients;
+          Alcotest.test_case "flat and comb requests serve the same bytes"
+            `Quick test_flat_and_comb_served_identically;
         ] );
       ( "wire robustness",
         [
@@ -385,9 +459,13 @@ let () =
             test_write_frame_cap;
           Alcotest.test_case "oversized reply becomes a structured error"
             `Quick test_oversized_substitute;
+          Alcotest.test_case "dispatch byte round-trips; 3 is rejected"
+            `Quick test_dispatch_byte;
           Alcotest.test_case "hello names the serving target" `Quick
             test_hello_target;
           Alcotest.test_case "EINTR bombing never tears a frame" `Quick
             test_eintr_signal_bomb;
+          Alcotest.test_case "dispatch bytes past comb are rejected" `Quick
+            test_dispatch_byte_range;
         ] );
     ]

@@ -203,6 +203,82 @@ let test_bundle_rejects_garbage () =
   | exception Cogg.Tables_io.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated bundle accepted"
 
+(* A bundle in an older format is named as such: the reader reports the
+   stale magic rather than misreading the layout that followed it.  CGB5
+   is the format CGB6 replaced. *)
+let test_bundle_names_stale_formats () =
+  let current = Cogg.Tables_io.write (tables ()) in
+  let body = String.sub current 4 (String.length current - 4) in
+  List.iter
+    (fun magic ->
+      match Cogg.Tables_io.read (magic ^ body) with
+      | exception Cogg.Tables_io.Corrupt m ->
+          Alcotest.(check string)
+            (magic ^ " rejection")
+            (Printf.sprintf "stale bundle format %s (want CGB6)" magic)
+            m
+      | _ -> Alcotest.failf "%s bundle accepted" magic)
+    [ "CGB4"; "CGB5" ]
+
+(* Compression method codes 0-3 are the four [Compress.method_]s; any
+   other code (4 belonged to a retired layout) is a corrupt bundle.  The
+   method code is located by writing the same bundle under two methods:
+   with identical arrays, it is the only byte that differs. *)
+let test_bundle_rejects_unknown_method () =
+  let t = tables () in
+  let c = t.Cogg.Tables.compressed in
+  Alcotest.(check bool)
+    "shipped layout is defaults+comb" true
+    (c.Cogg.Compress.method_ = Cogg.Compress.Defaults_and_comb);
+  let a = Cogg.Tables_io.write t in
+  let b =
+    Cogg.Tables_io.write
+      {
+        t with
+        Cogg.Tables.compressed =
+          { c with Cogg.Compress.method_ = Cogg.Compress.Comb_only };
+      }
+  in
+  check_int "same length" (String.length a) (String.length b);
+  let diffs =
+    List.filter
+      (fun i -> a.[i] <> b.[i])
+      (List.init (String.length a) Fun.id)
+  in
+  match diffs with
+  | [ i ] -> (
+      check_int "method code byte" 3 (Char.code a.[i]);
+      let bad = Bytes.of_string a in
+      Bytes.set bad i '\004';
+      match Cogg.Tables_io.read (Bytes.to_string bad) with
+      | exception Cogg.Tables_io.Corrupt m ->
+          Alcotest.(check string) "rejection" "bad compression method 4" m
+      | _ -> Alcotest.fail "method code 4 accepted")
+  | _ ->
+      Alcotest.failf "expected one differing byte, found %d"
+        (List.length diffs)
+
+(* Writing is a function of the bundle's content: reading a bundle back
+   and writing it again reproduces the same bytes, and the comb table
+   survives the round trip unchanged, on both targets. *)
+let test_bundle_write_read_fixpoint () =
+  List.iter
+    (fun (name, t) ->
+      let bytes = Cogg.Tables_io.write t in
+      let back = Cogg.Tables_io.read bytes in
+      Alcotest.(check bool)
+        (name ^ ": comb table preserved")
+        true
+        (back.Cogg.Tables.compressed = t.Cogg.Tables.compressed);
+      Alcotest.(check bool)
+        (name ^ ": rewrite is byte-identical")
+        true
+        (String.equal bytes (Cogg.Tables_io.write back)))
+    [
+      ("amdahl470", tables ());
+      ("risc32", Lazy.force Util.risc32_tables);
+    ]
+
 let () =
   Alcotest.run "tables"
     [
@@ -223,6 +299,12 @@ let () =
         [
           Alcotest.test_case "roundtrip drives codegen" `Quick test_bundle_roundtrip_drives_codegen;
           Alcotest.test_case "rejects garbage" `Quick test_bundle_rejects_garbage;
+          Alcotest.test_case "names stale formats" `Quick
+            test_bundle_names_stale_formats;
+          Alcotest.test_case "rejects unknown method" `Quick
+            test_bundle_rejects_unknown_method;
+          Alcotest.test_case "write/read fixpoint" `Quick
+            test_bundle_write_read_fixpoint;
         ] );
       ( "subsets",
         [
