@@ -7,7 +7,8 @@
     its uses).  Candidate subtrees are pure integer-register-valued
     computations of at least [min_nodes] nodes; the first occurrence is
     wrapped in [make_common] (with the shaper-allocated temporary), later
-    occurrences become [use_common]. *)
+    occurrences become [use_common].  Each statement is hash-consed once,
+    bottom-up, so the pass is O(size): the later walks read stored ints. *)
 
 module Tree = Ifl.Tree
 module Token = Ifl.Token
@@ -22,27 +23,28 @@ let eligible_root = function
 
 (* purity: no label/branch/call machinery below, only arithmetic, loads
    and constants *)
-let rec pure (Tree.Node (t, kids)) =
-  (match t.Token.sym with
-  | "iadd" | "isub" | "imult" | "idiv" | "imod" | "l_shift" | "r_shift"
-  | "iabs" | "ineg" | "imax" | "imin" | "iodd" | "incr" | "decr"
-  | "fullword" | "hlfword" | "byteword" | "addr" | "pos_constant"
-  | "neg_constant" | "dsp" | "v" | "r" | "lng" | "elmnt" ->
+let pure_op = function
+  | "iodd" | "addr" | "pos_constant" | "neg_constant" | "dsp" | "v" | "r"
+  | "lng" | "elmnt" ->
       true
-  | _ -> false)
-  && List.for_all pure kids
+  | sym -> eligible_root sym
 
 let min_nodes = 3
 
-type state = {
-  mutable next_cse : int;
-  mutable frame : Layout.t;
-  mutable temps : (int * int) list; (* cse id -> temp displacement *)
+(* One class per distinct subtree of a statement, interned on its token
+   and its children's ids.  [uses] counts its candidate occurrences;
+   [Chosen (number, temporary)] once it is to become a CSE. *)
+type cls = {
+  id : int;
+  size : int;
+  pure : bool;
+  mutable uses : int;
+  mutable cse : cse;
 }
 
-(* canonical key for structural equality *)
-let rec key (Tree.Node (t, kids)) =
-  Token.to_string t ^ "(" ^ String.concat "," (List.map key kids) ^ ")"
+and cse = Unchosen | Chosen of int * int | Defined of int
+
+type ann = A of Token.t * cls * ann list
 
 (* Children in *positional* spots are grammar punctuation, not value
    expressions: the address of an assign, the procedure-address load of a
@@ -55,121 +57,117 @@ let positional sym i =
   | "make_common", 2 -> true
   | _ -> false
 
-(* count occurrences of every eligible subtree *)
-let rec census ?(root_ok = true) (tbl : (string, int) Hashtbl.t)
-    (Tree.Node (t, kids) as tree) =
-  if
-    root_ok
-    && eligible_root t.Token.sym
-    && Tree.size tree >= min_nodes
-    && pure tree
-  then begin
-    let k = key tree in
-    Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0)
-  end;
-  List.iteri
-    (fun i kid -> census ~root_ok:(not (positional t.Token.sym i)) tbl kid)
-    kids
+(* [f ~root_ok] over the children of a node with operator [sym] *)
+let map_kids sym f kids =
+  List.mapi (fun i k -> f ~root_ok:(not (positional sym i)) k) kids
 
-(* rewrite: for chosen keys, first occurrence -> make_common, rest ->
-   use_common.  Top-down so outermost repeats win; inside a replaced
-   subtree no further rewriting happens (its copies are gone). *)
-type chosen = { id : int; total : int; mutable seen : int; temp : int }
-
-let rec rewrite ?(root_ok = true) (choice : (string, chosen) Hashtbl.t)
-    (Tree.Node (t, kids) as tree) : Tree.t =
-  let rewrite_kids () =
-    List.mapi
-      (fun i kid -> rewrite ~root_ok:(not (positional t.Token.sym i)) choice kid)
-      kids
+(* Annotate bottom-up, interning each node in [tbl] and counting the
+   occurrences of every candidate (the census): an eligible root of at
+   least [min_nodes] nodes, pure, in a non-positional spot. *)
+let rec annotate tbl ~root_ok (Tree.Node (t, kids)) =
+  let sym = t.Token.sym in
+  let kids = map_kids sym (annotate tbl) kids in
+  let key = (t, List.map (fun (A (_, k, _)) -> k.id) kids) in
+  let c =
+    match Hashtbl.find_opt tbl key with
+    | Some c -> c
+    | None ->
+        let size, pure =
+          List.fold_left
+            (fun (n, p) (A (_, k, _)) -> (n + k.size, p && k.pure))
+            (1, pure_op sym) kids
+        in
+        let id = Hashtbl.length tbl in
+        let c = { id; size; pure; uses = 0; cse = Unchosen } in
+        Hashtbl.add tbl key c;
+        c
   in
-  match (if root_ok then Hashtbl.find_opt choice (key tree) else None) with
-  | Some c when c.seen = 0 ->
-      c.seen <- 1;
-      (* definition: keep the computation, declare the CSE *)
-      let inner = Tree.Node (t, rewrite_kids ()) in
-      Tree.node "make_common"
-        [
-          Tree.Node (Token.cse "cse" c.id, []);
-          Tree.Node (Token.int "cnt" (c.total - 1), []);
-          Tree.node "fullword"
-            [
-              Tree.Node (Token.int "dsp" c.temp, []);
-              Tree.Node (Token.reg "r" Machine.Runtime.stack_base, []);
-            ];
-          inner;
-        ]
-  | Some c ->
-      c.seen <- c.seen + 1;
-      Tree.node "use_common" [ Tree.Node (Token.cse "cse" c.id, []) ]
-  | None -> Tree.Node (t, rewrite_kids ())
+  if root_ok && eligible_root sym && c.size >= min_nodes && c.pure then
+    c.uses <- c.uses + 1;
+  A (t, c, kids)
 
-(* Reserve the temporary for the repeated subtree [k] and record the
+type state = { mutable next_cse : int; mutable frame : Layout.t }
+
+(* Reserve the temporary for the repeated class [c] and record the
    choice.  False when the frame has no room left for it: the subtree
    stays uncommoned, which costs code size, never correctness, and the
    failed placement leaves the frame and the CSE numbering untouched. *)
-let place (st : state) tbl choice k =
+let place (st : state) c =
   let id = st.next_cse in
   match Layout.temp st.frame (Fmt.str "cse-%d" id) with
   | temp ->
       st.next_cse <- id + 1;
-      st.temps <- (id, temp) :: st.temps;
-      Hashtbl.replace choice k
-        { id; total = Hashtbl.find tbl k; seen = 0; temp };
+      c.cse <- Chosen (id, temp);
       true
   | exception Layout.Frame_overflow _ -> false
+
+(* choose outermost repeated subtrees: walk top-down, and when a node is
+   chosen do not consider its descendants; every occurrence of a chosen
+   subtree is replaced wholesale, so nothing below it can need its own
+   CSE *)
+let rec choose st ~root_ok (A (t, c, kids)) =
+  if not (root_ok && (c.cse <> Unchosen || (c.uses >= 2 && place st c))) then
+    List.iteri
+      (fun i kid -> choose st ~root_ok:(not (positional t.Token.sym i)) kid)
+      kids
+
+(* rewrite: for chosen classes, first occurrence -> make_common, rest ->
+   use_common.  Top-down so outermost repeats win; inside a replaced
+   subtree no further rewriting happens (its copies are gone). *)
+let rec rewrite ~root_ok (A (t, c, kids)) : Tree.t =
+  let rewrite_kids () = map_kids t.Token.sym rewrite kids in
+  match if root_ok then c.cse else Unchosen with
+  | Chosen (id, temp) ->
+      c.cse <- Defined id;
+      (* definition: keep the computation, declare the CSE *)
+      Tree.node "make_common"
+        [
+          Tree.Node (Token.cse "cse" id, []);
+          Tree.Node (Token.int "cnt" (c.uses - 1), []);
+          Tree.node "fullword"
+            [
+              Tree.Node (Token.int "dsp" temp, []);
+              Tree.Node (Token.reg "r" Machine.Runtime.stack_base, []);
+            ];
+          Tree.Node (t, rewrite_kids ());
+        ]
+  | Defined id ->
+      Tree.node "use_common" [ Tree.Node (Token.cse "cse" id, []) ]
+  | Unchosen -> Tree.Node (t, rewrite_kids ())
 
 (** Optimize one statement tree.  [state] carries the CSE numbering and
     the frame that provides temporaries. *)
 let optimize_statement (st : state) (tree : Tree.t) : Tree.t =
-  let tbl = Hashtbl.create 16 in
-  census tbl tree;
-  let choice = Hashtbl.create 4 in
-  (* choose outermost repeated subtrees: walk top-down, and when a node is
-     chosen do not consider its descendants *)
-  let rec choose ?(root_ok = true) (Tree.Node (t, kids) as tr) =
-    let k = key tr in
-    if root_ok && Hashtbl.mem choice k then
-      (* every occurrence of a chosen subtree is replaced wholesale, so
-         nothing below it can need its own CSE *)
-      ()
-    else if
-      not
-        (root_ok
-        && eligible_root t.Token.sym
-        && Tree.size tr >= min_nodes
-        && pure tr
-        && Option.value (Hashtbl.find_opt tbl k) ~default:0 >= 2
-        && place st tbl choice k)
-    then
-      List.iteri
-        (fun i kid -> choose ~root_ok:(not (positional t.Token.sym i)) kid)
-        kids
-  in
-  choose tree;
-  if Hashtbl.length choice = 0 then tree else rewrite choice tree
+  let a = annotate (Hashtbl.create 16) ~root_ok:true tree in
+  let next = st.next_cse in
+  choose st ~root_ok:true a;
+  if st.next_cse = next then tree else rewrite ~root_ok:true a
 
 (** Optimize a shaped program: CSEs are numbered across the module (they
     are "valid throughout the compilation"), temporaries come from the
-    frame owning the statement. *)
+    frame owning the statement.  The input is left as it was: the
+    temporaries go into copies of its frames, returned in the result. *)
 let optimize (shaped : Irgen.shaped) : Irgen.shaped =
-  let st = { next_cse = 1; frame = shaped.Irgen.main_frame; temps = [] } in
+  let main_frame = Layout.copy shaped.Irgen.main_frame in
+  let proc_frames =
+    List.map (fun (n, f) -> (n, Layout.copy f)) shaped.Irgen.proc_frames
+  in
+  let st = { next_cse = 1; frame = main_frame } in
   (* statements before the first procedure label belong to main; after a
      label_def that matches a procedure entry, switch frames *)
   let proc_label_frames =
     List.filter_map
       (fun (name, _, lbl) ->
-        Option.map (fun f -> (lbl, f)) (List.assoc_opt name shaped.Irgen.proc_frames))
+        Option.map (fun f -> (lbl, f)) (List.assoc_opt name proc_frames))
       shaped.Irgen.proc_slots
   in
   let trees =
     List.map
       (fun tree ->
         (match tree with
-        | Tree.Node (t, [ Tree.Node (l, []) ]) when t.Token.sym = "label_def"
-          -> (
+        | Tree.Node ({ Token.sym = "label_def"; _ }, [ Tree.Node (l, []) ]) -> (
             match l.Token.value with
-            | Ifl.Value.Label n | Ifl.Value.Int n -> (
+            | Ifl.Value.(Label n | Int n) -> (
                 match List.assoc_opt n proc_label_frames with
                 | Some f -> st.frame <- f
                 | None -> ())
@@ -178,4 +176,4 @@ let optimize (shaped : Irgen.shaped) : Irgen.shaped =
         optimize_statement st tree)
       shaped.Irgen.trees
   in
-  { shaped with Irgen.trees }
+  { shaped with Irgen.trees; main_frame; proc_frames }

@@ -659,7 +659,6 @@ type shaped = {
   out_real_disp : int;
   wcount_i_disp : int;
   wcount_r_disp : int;
-  frame_bytes : int;
   n_labels : int;
 }
 
@@ -722,11 +721,6 @@ let shape ?(checks = false) (c : Pascal.Sema.checked) : (shaped, error) result
           @ [ leaf_op "procedure_exit" ])
         prog.Ast.procs
     in
-    let frame_bytes =
-      List.fold_left
-        (fun acc (_, l) -> max acc (Layout.frame_bytes l))
-        (Layout.frame_bytes main) proc_frames
-    in
     Ok
       {
         trees = main_trees @ proc_trees;
@@ -737,7 +731,6 @@ let shape ?(checks = false) (c : Pascal.Sema.checked) : (shaped, error) result
         out_real_disp;
         wcount_i_disp = wcount_i;
         wcount_r_disp = wcount_r;
-        frame_bytes;
         n_labels = ctx.next_label;
       }
   with

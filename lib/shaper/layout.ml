@@ -92,6 +92,10 @@ let temp t ?(size = 4) ?(al = 4) what : int = reserve t what size al
 
 let frame_bytes t = t.next
 
+(** A frame that places its own temporaries from where [t] stands.  The
+    variable table is shared: only [add_var] writes it, never [temp]. *)
+let copy t = { t with next = t.next }
+
 let of_decls (decls : Ast.var_decl list) : t =
   let t = create () in
   List.iter (fun d -> ignore (add_var t d)) decls;

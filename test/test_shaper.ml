@@ -181,9 +181,66 @@ let test_cse_temp_allocated_in_frame () =
     shape "program p; var a, b, x : integer; begin x := (a + b) * (a + b) end."
   in
   let before = Shaper.Layout.frame_bytes sh.Shaper.Irgen.main_frame in
-  let _ = optimize sh in
-  let after = Shaper.Layout.frame_bytes sh.Shaper.Irgen.main_frame in
+  let opt = optimize sh in
+  let after = Shaper.Layout.frame_bytes opt.Shaper.Irgen.main_frame in
   Alcotest.(check bool) "temporary reserved" true (after = before + 4)
+
+let frame_sizes (sh : Shaper.Irgen.shaped) =
+  Shaper.Layout.frame_bytes sh.Shaper.Irgen.main_frame
+  :: List.map
+       (fun (_, f) -> Shaper.Layout.frame_bytes f)
+       sh.Shaper.Irgen.proc_frames
+
+let test_cse_pure () =
+  (* optimizing the same shaped value twice gives the same answer, and
+     the temporaries land in the result's frames, not the input's *)
+  let sh =
+    shape
+      "program p; var a, b, x : integer; procedure q; var c, d, y : integer; \
+       begin y := (c - d) * (c - d) end; begin x := (a + b) * (a + b); q end."
+  in
+  let before = frame_sizes sh in
+  let o1 = optimize sh in
+  let o2 = optimize sh in
+  Alcotest.(check bool) "same trees" true
+    (List.equal Tree.equal o1.Shaper.Irgen.trees o2.Shaper.Irgen.trees);
+  Alcotest.(check (list int)) "same frame_bytes" (frame_sizes o1)
+    (frame_sizes o2);
+  Alcotest.(check (list int)) "input frames unmoved" before (frame_sizes sh);
+  Alcotest.(check (list int)) "one temporary per frame"
+    (List.map (fun b -> b + 4) before)
+    (frame_sizes o1)
+
+(* Allocation of [Cse_opt.optimize] on one statement: an n-term chain
+   [a + b + a + ...] plus the product of two parenthesised copies of it.
+   Allocation is deterministic, so the ratio means the same on any
+   machine.  A linear optimizer doubles it from n = 64 to n = 128; one
+   that rebuilds a subtree key at every node (O(size x depth)) grows it
+   about 3.5 times. *)
+let test_cse_linear () =
+  let words n =
+    let term i = if i mod 2 = 0 then "a" else "b" in
+    let chain = String.concat " + " (List.init n term) in
+    let sh =
+      shape
+        (Fmt.str
+           "program p; var a, b, x : integer; begin x := %s + (%s) * (%s) end."
+           chain chain chain)
+    in
+    let once () =
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (optimize sh));
+      Gc.minor_words () -. w0
+    in
+    List.fold_left min infinity (List.init 3 (fun _ -> once ()))
+  in
+  let w64 = words 64 and w128 = words 128 in
+  let ratio = w128 /. w64 in
+  if ratio > 2.5 then
+    Alcotest.failf
+      "CSE allocation grows faster than linear: %.0f words at n = 64, %.0f \
+       at n = 128 (ratio %.2f > 2.5)"
+      w64 w128 ratio
 
 let () =
   Alcotest.run "shaper"
@@ -211,5 +268,7 @@ let () =
           Alcotest.test_case "no cross-statement sharing" `Quick test_cse_no_cross_statement;
           Alcotest.test_case "write counters untouched" `Quick test_cse_impure_not_shared;
           Alcotest.test_case "temp allocated" `Quick test_cse_temp_allocated_in_frame;
+          Alcotest.test_case "pure: input untouched" `Quick test_cse_pure;
+          Alcotest.test_case "linear allocation" `Quick test_cse_linear;
         ] );
     ]
