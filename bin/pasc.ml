@@ -112,7 +112,7 @@ let run_executed (x : Pipeline.executed) =
 
 let compile_cmd =
   let run target spec_opt src_paths jobs no_cse no_cache checks baseline
-      show_if show_listing run_it verify stats trace explain dispatch =
+      show_if show_listing run_it verify stats trace explain =
     let spec_path = spec_for target spec_opt in
     if baseline && target.Machine.Target.name <> Machine.Targets.default.Machine.Target.name
     then
@@ -177,7 +177,7 @@ let compile_cmd =
       let results =
         Cogg.Trace.with_span ~cat:"batch" "batch" (fun () ->
             Pipeline.Batch.compile_all ?pool ~cse:(not no_cse) ~checks
-              ~dispatch ~explain tables batch)
+              ~explain tables batch)
       in
       (* reporting stays sequential and in input order: batch output must
          be byte-identical to compiling the files one by one *)
@@ -252,16 +252,7 @@ let compile_cmd =
       $ trace_arg
       $ flag [ "explain" ]
           "Annotate every emitted instruction with the production and \
-           directives responsible for it (table-driven generators only)"
-      $ Arg.(
-          value
-          & opt
-              (enum [ ("flat", Cogg.Driver.Flat); ("comb", Cogg.Driver.Comb) ])
-              Cogg.Driver.Comb
-          & info [ "dispatch" ] ~docv:"D"
-              ~doc:
-                "Parse-table dispatch the driver probes: $(b,comb) \
-                 (packed, the default) or $(b,flat) (uncompressed)."))
+           directives responsible for it (table-driven generators only)")
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in

@@ -25,8 +25,6 @@ val generate :
   ?name:string ->
   ?strategy:Regalloc.strategy ->
   ?dispatch:Driver.dispatch ->
-  ?reload_dsp:string ->
-  ?reload_reg:string ->
   ?explain:bool ->
   ?on_reduce:(int -> unit) ->
   Tables.t ->
@@ -34,9 +32,8 @@ val generate :
   (result_t, error) result
 (** Generate code for a linearized IF program.  [strategy] selects the
     register allocation policy (default LRU); [dispatch] the parse-table
-    representation the driver probes (default comb); [reload_dsp] /
-    [reload_reg] name the terminals used when a common subexpression is
-    reloaded from its temporary (defaults ["dsp"]/["r"]);
+    representation the driver probes (default comb; flat is the
+    reference path the dispatch oracle compares it against);
     [explain] (default false) additionally records, per emitted item, the
     production and directives responsible, surfaced as [explanation];
     [on_reduce] is called with each production id as it fires, before
@@ -46,8 +43,6 @@ val generate_string :
   ?name:string ->
   ?strategy:Regalloc.strategy ->
   ?dispatch:Driver.dispatch ->
-  ?reload_dsp:string ->
-  ?reload_reg:string ->
   ?explain:bool ->
   Tables.t ->
   string ->

@@ -36,10 +36,10 @@ type t = {
   cse : Cse.t;
   buf : Code_buffer.t;
   reload_dsp : Grammar.sym;
-      (** terminal used when reloading a CSE, interned at creation
-          ([-1] when the configured name is not in the grammar — pushing
-          it then fails at the driver, like any uninterned symbol) *)
-  reload_reg : Grammar.sym;  (** register non-terminal for CSE reloads *)
+      (** the [dsp] terminal used when reloading a CSE, interned at
+          creation ([-1] when the grammar has no [dsp] — pushing it then
+          fails at the driver, like any uninterned symbol) *)
+  reload_reg : Grammar.sym;  (** the [r] non-terminal for CSE reloads *)
   mutable next_internal : int;
   (* open [skip]s: remaining instruction count until the internal label *)
   mutable open_skips : (int ref * Code_buffer.label) list;
@@ -56,8 +56,8 @@ type t = {
   mutable cse_invalidations : int;
 }
 
-let create ?(strategy = Regalloc.Lru) ?(reload_dsp = "dsp") ?(reload_reg = "r")
-    ?(explain = false) (tables : Tables.t) : t =
+let create ?(strategy = Regalloc.Lru) ?(explain = false) (tables : Tables.t)
+    : t =
   let intern n =
     match Grammar.sym tables.Tables.grammar n with Some s -> s | None -> -1
   in
@@ -66,8 +66,8 @@ let create ?(strategy = Regalloc.Lru) ?(reload_dsp = "dsp") ?(reload_reg = "r")
     regs = Regalloc.create ~strategy ();
     cse = Cse.create ();
     buf = Code_buffer.create ();
-    reload_dsp = intern reload_dsp;
-    reload_reg = intern reload_reg;
+    reload_dsp = intern "dsp";
+    reload_reg = intern "r";
     next_internal = 0;
     open_skips = [];
     stmt_records = [];

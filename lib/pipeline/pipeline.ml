@@ -25,9 +25,8 @@ let ( let* ) = Result.bind
     Every phase runs under a {!Cogg.Trace} span (a no-op unless tracing
     or metrics are enabled), so [--trace]/[--stats] report per-phase wall
     times. *)
-let compile ?(cse = true) ?(checks = false) ?strategy ?dispatch ?explain
-    ?on_reduce (tables : Cogg.Tables.t) (source : string) :
-    (compiled, string) result =
+let compile ?(cse = true) ?(checks = false) ?strategy ?explain ?on_reduce
+    (tables : Cogg.Tables.t) (source : string) : (compiled, string) result =
   let span name f = Cogg.Trace.with_span ~cat:"pipeline" name f in
   let* checked = span "front_end" (fun () -> Pascal.Sema.front_end source) in
   let* shaped =
@@ -46,8 +45,7 @@ let compile ?(cse = true) ?(checks = false) ?strategy ?dispatch ?explain
   in
   match
     span "codegen" (fun () ->
-        Cogg.Codegen.generate ?strategy ?dispatch ?explain ?on_reduce tables
-          tokens)
+        Cogg.Codegen.generate ?strategy ?explain ?on_reduce tables tokens)
   with
   | Error e -> Error (Fmt.str "%a" Cogg.Codegen.pp_error e)
   | Ok gen ->
@@ -339,7 +337,7 @@ module Batch = struct
       one (or with a pool of size 1) the batch runs sequentially on the
       calling domain.  The result array is indexed like [jobs] either
       way. *)
-  let compile_all ?pool ?cse ?checks ?strategy ?dispatch ?explain
+  let compile_all ?pool ?cse ?checks ?strategy ?explain
       (tables : Cogg.Tables.t) (jobs : job array) : result_t array =
     Cogg.Pool.maybe pool
       (fun j ->
@@ -348,7 +346,7 @@ module Batch = struct
            region has joined *)
         Cogg.Trace.with_span ~cat:"batch" ~args:[ ("program", j.name) ]
           "compile" (fun () ->
-            compile ?cse ?checks ?strategy ?dispatch ?explain tables j.source))
+            compile ?cse ?checks ?strategy ?explain tables j.source))
       jobs
 
   (** Object-code bytes of a successful compile — the determinism suite's

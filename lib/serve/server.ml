@@ -122,18 +122,12 @@ let stats_text (t : t) : string =
 
 (* -- the compile itself ------------------------------------------------------- *)
 
-let dispatch_of : Wire.dispatch -> Cogg.Driver.dispatch option = function
-  | Wire.Default -> None
-  | Wire.Flat -> Some Cogg.Driver.Flat
-  | Wire.Comb -> Some Cogg.Driver.Comb
-
 (** One compilation, options applied, exceptions contained (a crash
     must fail one request, not the pool batch it rode in). *)
 let run_compile (tables : Cogg.Tables.t) (o : Wire.options) (source : string) :
     Wire.outcome =
   match
-    Pipeline.compile ?cse:o.Wire.cse ?checks:o.Wire.checks
-      ?dispatch:(dispatch_of o.Wire.dispatch) tables source
+    Pipeline.compile ?cse:o.Wire.cse ?checks:o.Wire.checks tables source
   with
   | Ok c ->
       Ok (c.Pipeline.gen.Cogg.Codegen.listing, Pipeline.Batch.code_bytes c)

@@ -3,15 +3,9 @@
     frame grammar; this module is pure encoding plus the two blocking
     frame I/O helpers the client and the test harness share. *)
 
-type dispatch = Default | Flat | Comb
+type options = { cse : bool option; checks : bool option }
 
-type options = {
-  cse : bool option;
-  checks : bool option;
-  dispatch : dispatch;
-}
-
-let default_options = { cse = None; checks = None; dispatch = Default }
+let default_options = { cse = None; checks = None }
 
 type request =
   | Compile of { id : int; options : options; source : string }
@@ -63,24 +57,12 @@ let get_opt_bool = function
   | '\002' -> Ok (Some true)
   | c -> Error (Printf.sprintf "bad option byte %d" (Char.code c))
 
-let dispatch_byte = function
-  | Default -> '\000'
-  | Flat -> '\001'
-  | Comb -> '\002'
-
-let dispatch_of_byte = function
-  | '\000' -> Ok Default
-  | '\001' -> Ok Flat
-  | '\002' -> Ok Comb
-  | c -> Error (Printf.sprintf "bad dispatch byte %d" (Char.code c))
-
 (** The cache key's option component: same canonical bytes as the wire
     encoding, so distinct option sets are distinct key material. *)
 let options_tag (o : options) : string =
-  let b = Buffer.create 3 in
+  let b = Buffer.create 2 in
   put_opt_bool b o.cse;
   put_opt_bool b o.checks;
-  Buffer.add_char b (dispatch_byte o.dispatch);
   Buffer.contents b
 
 (* -- requests ----------------------------------------------------------------- *)
@@ -109,17 +91,16 @@ let decode_request (s : string) : (request, string) result =
   else
     match s.[0] with
     | 'C' ->
-        if n < 8 then Error "truncated compile request"
+        if n < 7 then Error "truncated compile request"
         else
           let* cse = get_opt_bool s.[5] in
           let* checks = get_opt_bool s.[6] in
-          let* dispatch = dispatch_of_byte s.[7] in
           Ok
             (Compile
                {
                  id = get_u32 s 1;
-                 options = { cse; checks; dispatch };
-                 source = String.sub s 8 (n - 8);
+                 options = { cse; checks };
+                 source = String.sub s 7 (n - 7);
                })
     | 'S' -> Ok Stats
     | 'P' -> Ok Ping

@@ -12,13 +12,9 @@
     results are answered inline while misses wait for the compile
     pool). *)
 
-type dispatch = Default | Flat | Comb
-(** Wire bytes 0, 1 and 2; any other byte is a decode error. *)
-
 type options = {
   cse : bool option;  (** [None] = server default (the {!Pipeline.compile} default) *)
   checks : bool option;
-  dispatch : dispatch;
 }
 
 val default_options : options
@@ -81,7 +77,7 @@ val oversized_substitute : reply -> size:int -> reply
     encoding always fits. *)
 
 val options_tag : options -> string
-(** Canonical 3-byte encoding of [options] — part of the result cache
+(** Canonical 2-byte encoding of [options] — part of the result cache
     key, so the same source compiled under different options never
     collides. *)
 

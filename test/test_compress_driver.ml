@@ -5,9 +5,6 @@
 
 let check_int = Alcotest.(check int)
 
-let amdahl () = Lazy.force Util.amdahl_tables
-let risc32 () = Lazy.force Util.risc32_tables
-
 let all_methods =
   [
     ("none", Cogg.Compress.No_compression);
@@ -44,13 +41,9 @@ let per_entry_equivalence t =
       done)
     all_methods
 
-let test_per_entry_equivalence () = per_entry_equivalence (amdahl ())
-let test_per_entry_equivalence_risc32 () = per_entry_equivalence (risc32 ())
-
 (* The raw-integer probe the driver runs on and its decoded form must be
    two views of the same entry. *)
-let test_action_code_consistent () =
-  let t = amdahl () in
+let action_code_consistent t =
   let pt = t.Cogg.Tables.parse in
   let n_syms = Cogg.Grammar.n_syms t.Cogg.Tables.grammar in
   List.iter
@@ -73,9 +66,6 @@ let carried_table_verifies t =
       Alcotest.(check bool) "defaults soften some errors" true (softened > 0)
   | Error m -> Alcotest.fail m
 
-let test_carried_table_verifies () = carried_table_verifies (amdahl ())
-let test_carried_table_verifies_risc32 () = carried_table_verifies (risc32 ())
-
 let programs =
   [
     ("gcd", Pipeline.Programs.gcd);
@@ -83,41 +73,41 @@ let programs =
     ("appendix1", Pipeline.Programs.appendix1_equation);
   ]
 
-let compile_with ?(tables = amdahl ()) dispatch src =
-  match Pipeline.compile ~dispatch tables src with
-  | Ok c -> c
-  | Error m -> Alcotest.failf "compile failed: %s" m
+(* Generate each program's linearized IF through both dispatch paths
+   and hand the two results to [f]. *)
+let both_dispatches tables f =
+  List.iter
+    (fun (name, src) ->
+      let toks =
+        match Pipeline.compile tables src with
+        | Ok c -> c.Pipeline.tokens
+        | Error m -> Alcotest.failf "%s: compile failed: %s" name m
+      in
+      let gen dispatch =
+        match Cogg.Codegen.generate ~dispatch tables toks with
+        | Ok g -> g
+        | Error e -> Alcotest.failf "%s: %a" name Cogg.Codegen.pp_error e
+      in
+      f name (gen Cogg.Driver.Flat) (gen Cogg.Driver.Comb))
+    programs
 
 (* End to end: both dispatch paths must produce byte-identical code. *)
 let flat_comb_identical_code tables =
-  List.iter
-    (fun (name, src) ->
-      let flat = compile_with ~tables Cogg.Driver.Flat src in
-      let comb = compile_with ~tables Cogg.Driver.Comb src in
+  both_dispatches tables (fun name flat comb ->
       Alcotest.(check string)
         (name ^ ": identical listings")
-        flat.Pipeline.gen.Cogg.Codegen.listing
-        comb.Pipeline.gen.Cogg.Codegen.listing;
+        flat.Cogg.Codegen.listing comb.Cogg.Codegen.listing;
       Alcotest.(check bytes)
         (name ^ ": identical code bytes")
-        flat.Pipeline.gen.Cogg.Codegen.resolved.Cogg.Loader_gen.code
-        comb.Pipeline.gen.Cogg.Codegen.resolved.Cogg.Loader_gen.code)
-    programs
-
-let test_flat_comb_identical_code () = flat_comb_identical_code (amdahl ())
-
-let test_flat_comb_identical_code_risc32 () =
-  flat_comb_identical_code (risc32 ())
+        flat.Cogg.Codegen.resolved.Cogg.Loader_gen.code
+        comb.Cogg.Codegen.resolved.Cogg.Loader_gen.code)
 
 (* Well-formed IF never exercises a softened (defaulted) entry on a path
    that changes the action sequence, so the parse statistics agree too. *)
 let outcomes_agree tables =
-  List.iter
-    (fun (name, src) ->
-      let flat = compile_with ~tables Cogg.Driver.Flat src in
-      let comb = compile_with ~tables Cogg.Driver.Comb src in
-      let fo = flat.Pipeline.gen.Cogg.Codegen.outcome in
-      let co = comb.Pipeline.gen.Cogg.Codegen.outcome in
+  both_dispatches tables (fun name flat comb ->
+      let fo = flat.Cogg.Codegen.outcome in
+      let co = comb.Cogg.Codegen.outcome in
       check_int (name ^ ": reductions") fo.Cogg.Driver.reductions
         co.Cogg.Driver.reductions;
       check_int (name ^ ": shifts") fo.Cogg.Driver.shifts co.Cogg.Driver.shifts;
@@ -129,10 +119,6 @@ let outcomes_agree tables =
         true
         (co.Cogg.Driver.max_stack > 0
         && co.Cogg.Driver.max_stack <= co.Cogg.Driver.shifts))
-    programs
-
-let test_outcomes_agree () = outcomes_agree (amdahl ())
-let test_outcomes_agree_risc32 () = outcomes_agree (risc32 ())
 
 (* The paper's section-1 machine and example statement (A := A + B): the
    parse is small and deterministic, pinning the statistics exactly (a
@@ -191,7 +177,7 @@ let test_max_stack_exact () =
 (* Malformed IF must fail cleanly under both dispatches: comb may detect
    the error later (after default reductions), but never accepts. *)
 let test_invalid_if_rejected_both () =
-  let t = amdahl () in
+  let t = Lazy.force Util.amdahl_tables in
   List.iter
     (fun (name, dispatch) ->
       match
@@ -228,41 +214,27 @@ let deletion_mutants_agree tables =
     "some deletions are rejected (the check is not vacuous)" true
     (!rejected > 0)
 
-let test_deletion_mutants_agree () = deletion_mutants_agree (amdahl ())
-let test_deletion_mutants_agree_risc32 () = deletion_mutants_agree (risc32 ())
-
 let () =
   Alcotest.run "compress_driver"
-    [
-      ( "equivalence",
+    (Util.per_target "equivalence"
+       [
+         ("per-entry, all methods", per_entry_equivalence);
+         ("action_code consistent", action_code_consistent);
+         ("carried table verifies", carried_table_verifies);
+       ]
+    @ Util.per_target "end-to-end"
         [
-          Alcotest.test_case "per-entry, all methods" `Quick
-            test_per_entry_equivalence;
-          Alcotest.test_case "action_code consistent" `Quick
-            test_action_code_consistent;
-          Alcotest.test_case "carried table verifies" `Quick
-            test_carried_table_verifies;
-          Alcotest.test_case "per-entry, all methods (risc32)" `Quick
-            test_per_entry_equivalence_risc32;
-          Alcotest.test_case "carried table verifies (risc32)" `Quick
-            test_carried_table_verifies_risc32;
-        ] );
-      ( "end-to-end",
-        [
-          Alcotest.test_case "flat = comb code bytes" `Quick
-            test_flat_comb_identical_code;
-          Alcotest.test_case "outcomes agree" `Quick test_outcomes_agree;
-          Alcotest.test_case "invalid IF rejected" `Quick
-            test_invalid_if_rejected_both;
-          Alcotest.test_case "deletion mutants agree" `Quick
-            test_deletion_mutants_agree;
-          Alcotest.test_case "deletion mutants agree (risc32)" `Quick
-            test_deletion_mutants_agree_risc32;
-          Alcotest.test_case "flat = comb code bytes (risc32)" `Quick
-            test_flat_comb_identical_code_risc32;
-          Alcotest.test_case "outcomes agree (risc32)" `Quick
-            test_outcomes_agree_risc32;
-        ] );
-      ( "stack accounting",
-        [ Alcotest.test_case "exact max_stack" `Quick test_max_stack_exact ] );
-    ]
+          ("flat = comb code bytes", flat_comb_identical_code);
+          ("outcomes agree", outcomes_agree);
+          ("deletion mutants agree", deletion_mutants_agree);
+        ]
+    @ [
+        ( "malformed IF",
+          [
+            Alcotest.test_case "invalid IF rejected" `Quick
+              test_invalid_if_rejected_both;
+          ] );
+        ( "stack accounting",
+          [ Alcotest.test_case "exact max_stack" `Quick test_max_stack_exact ]
+        );
+      ])

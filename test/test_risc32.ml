@@ -1,19 +1,20 @@
-(* Tests of the RISC-32 specification and substrate, mirroring the
-   Amdahl 470 suite: the same IF idioms, verified by executing the
-   generated code on the RISC-32 interpreter — plus the substrate's own
-   encode/decode and simulator-semantics checks (r0 hardwired to zero,
-   cc set only by compares, load widths, ftoi truncation) and the
-   pc-relative answer to the page-boundary problem. *)
+(* The RISC-32 backend's own idioms: the substrate's encode/decode and
+   simulator semantics (r0 hardwired to zero, cc set only by compares,
+   load widths, ftoi truncation), the instruction shapes its
+   specification chooses (srai abs, subi decrement) and the pc-relative
+   answer to the page-boundary problem.  The target-neutral half of
+   every IF idiom runs on every backend in test_conformance.ml. *)
 
 let check_int = Alcotest.(check int)
 
 let tables () = Lazy.force Util.risc32_tables
 
-let prog body = "procedure_entry " ^ body ^ " procedure_exit"
 let d n = string_of_int (Util.local n)
 
-let run ?strategy ?locals ?floats body =
-  Util.compile_and_run ?strategy ?locals ?floats (tables ()) (prog body)
+let run ?locals body = Util.compile_and_run ?locals (tables ()) (Util.prog body)
+
+let listing ?locals body =
+  (run ?locals body).Util.genresult.Cogg.Codegen.listing
 
 (* -- instruction encoding ----------------------------------------------------- *)
 
@@ -140,452 +141,38 @@ let test_ftoi_truncates () =
   steps sim 1;
   check_int "truncation toward zero" (-2) (Machine.Sim.reg sim 1)
 
-(* -- straight-line arithmetic -------------------------------------------------- *)
+(* -- instruction shapes ------------------------------------------------------ *)
 
-let test_add () =
-  let r =
-    run
-      ~locals:[ (0, 7); (1, 35) ]
-      (Printf.sprintf
-         "assign fullword dsp:%s r:13 iadd fullword dsp:%s r:13 fullword dsp:%s r:13"
-         (d 0) (d 0) (d 1))
-  in
-  check_int "sum" 42 (Util.read_local r 0)
-
-let test_mult_div_mod () =
-  let r =
-    run
-      ~locals:[ (1, 17); (2, -3); (4, -100); (5, 7) ]
-      (Printf.sprintf
-         "assign fullword dsp:%s r:13 imult fullword dsp:%s r:13 fullword dsp:%s r:13 \
-          assign fullword dsp:%s r:13 idiv fullword dsp:%s r:13 fullword dsp:%s r:13 \
-          assign fullword dsp:%s r:13 imod fullword dsp:%s r:13 fullword dsp:%s r:13"
-         (d 0) (d 1) (d 2) (d 3) (d 4) (d 5) (d 6) (d 4) (d 5))
-  in
-  check_int "product" (-51) (Util.read_local r 0);
-  check_int "quotient truncates toward zero" (-14) (Util.read_local r 3);
-  check_int "remainder" (-2) (Util.read_local r 6)
-
-let test_nested_expression () =
-  let r =
-    run
-      ~locals:[ (1, 6); (2, 7); (3, 100); (4, 9); (5, 31) ]
-      (Printf.sprintf
-         "assign fullword dsp:%s r:13 imod iadd imult fullword dsp:%s r:13 \
-          fullword dsp:%s r:13 idiv fullword dsp:%s r:13 fullword dsp:%s \
-          r:13 fullword dsp:%s r:13"
-         (d 0) (d 1) (d 2) (d 3) (d 4) (d 5))
-  in
-  check_int "((6*7)+(100/9)) mod 31" (((6 * 7) + (100 / 9)) mod 31)
-    (Util.read_local r 0)
-
-let test_unaries () =
-  (* x0 := abs(x1 - x2) exercises the srai/xor/sub branch-free idiom *)
-  let r =
-    run
-      ~locals:[ (1, 10); (2, 25); (4, 9); (6, 4); (7, 11) ]
-      (Printf.sprintf
-         "assign fullword dsp:%s r:13 iabs isub fullword dsp:%s r:13 fullword dsp:%s r:13 \
-          assign fullword dsp:%s r:13 ineg fullword dsp:%s r:13 \
-          assign fullword dsp:%s r:13 imax fullword dsp:%s r:13 fullword dsp:%s r:13"
-         (d 0) (d 1) (d 2) (d 3) (d 4) (d 5) (d 6) (d 7))
-  in
-  check_int "abs" 15 (Util.read_local r 0);
-  check_int "neg" (-9) (Util.read_local r 3);
-  check_int "max" 11 (Util.read_local r 5);
+let test_srai_abs () =
+  (* abs(x1 - x2) is the branch-free srai/xor/sub idiom *)
   Alcotest.(check bool)
     "abs is the branch-free srai idiom" true
-    (Util.contains r.Util.genresult.Cogg.Codegen.listing "srai")
+    (Util.contains
+       (listing ~locals:[ (1, 10); (2, 25) ]
+          (Printf.sprintf
+             "assign fullword dsp:%s r:13 iabs isub fullword dsp:%s r:13 \
+              fullword dsp:%s r:13"
+             (d 0) (d 1) (d 2)))
+       "srai")
 
-let test_incr_decr () =
-  let r =
-    run
-      ~locals:[ (1, 50); (3, 99) ]
-      (Printf.sprintf
-         "assign fullword dsp:%s r:13 decr fullword dsp:%s r:13 \
-          assign fullword dsp:%s r:13 incr fullword dsp:%s r:13"
-         (d 0) (d 1) (d 2) (d 3))
-  in
-  check_int "decrement" 49 (Util.read_local r 0);
-  check_int "increment" 100 (Util.read_local r 2);
+let test_subi_decrement () =
   Alcotest.(check bool)
     "decrement is subi" true
-    (Util.contains r.Util.genresult.Cogg.Codegen.listing "subi")
-
-let test_shifts_and_constants () =
-  let r =
-    run
-      ~locals:[ (1, 5); (3, -64) ]
-      (Printf.sprintf
-         "assign fullword dsp:%s r:13 iadd l_shift fullword dsp:%s r:13 v:2 v:4095 \
-          assign fullword dsp:%s r:13 r_shift fullword dsp:%s r:13 v:3 \
-          assign fullword dsp:%s r:13 neg_constant v:17"
-         (d 0) (d 1) (d 2) (d 3) (d 4))
-  in
-  check_int "shift-add" ((5 lsl 2) + 4095) (Util.read_local r 0);
-  check_int "arithmetic right shift" (-8) (Util.read_local r 2);
-  check_int "negative constant" (-17) (Util.read_local r 4)
-
-let test_halfword_values () =
-  let lay = Machine.Runtime.default_layout in
-  let t = tables () in
-  match
-    Cogg.Codegen.generate_string t
-      (prog
-         (Printf.sprintf
-            "assign hlfword dsp:%s r:13 iadd hlfword dsp:%s r:13 hlfword dsp:%s r:13"
-            (d 0) (d 1) (d 2)))
-  with
-  | Error m -> Alcotest.fail m
-  | Ok g -> (
-      match Machine.Risc32.boot ~layout:lay g.Cogg.Codegen.objmod with
-      | Error m -> Alcotest.fail m
-      | Ok (sim, entry) -> (
-          let frame = Machine.Runtime.main_frame lay in
-          Machine.Sim.store_h sim (frame + Util.local 1) (-300);
-          Machine.Sim.store_h sim (frame + Util.local 2) 512;
-          match Machine.Risc32.run ~layout:lay sim ~entry with
-          | Error m -> Alcotest.fail m
-          | Ok _ ->
-              check_int "halfword sum" 212
-                (Machine.Sim.load_h sim (frame + Util.local 0))))
-
-(* -- control flow -------------------------------------------------------------- *)
-
-let if_less_prog =
-  Printf.sprintf
-    "branch_op lbl:1 cond:m11 icompare fullword dsp:%s r:13 fullword dsp:%s r:13 \
-     assign fullword dsp:%s r:13 pos_constant v:1 \
-     branch_op lbl:2 \
-     label_def lbl:1 \
-     assign fullword dsp:%s r:13 pos_constant v:2 \
-     label_def lbl:2"
-    (d 1) (d 2) (d 0) (d 0)
-
-let test_branch_taken () =
-  let r = run ~locals:[ (1, 3); (2, 9) ] if_less_prog in
-  check_int "then branch" 1 (Util.read_local r 0)
-
-let test_branch_not_taken () =
-  let r = run ~locals:[ (1, 9); (2, 3) ] if_less_prog in
-  check_int "else branch" 2 (Util.read_local r 0)
-
-let test_loop_sums () =
-  let body =
-    Printf.sprintf
-      "assign fullword dsp:%s r:13 pos_constant v:0 \
-       label_def lbl:1 \
-       branch_op lbl:2 cond:m8 icompare fullword dsp:%s r:13 pos_constant v:0 \
-       assign fullword dsp:%s r:13 iadd fullword dsp:%s r:13 fullword dsp:%s r:13 \
-       assign fullword dsp:%s r:13 decr fullword dsp:%s r:13 \
-       branch_op lbl:1 \
-       label_def lbl:2"
-      (d 0) (d 1) (d 0) (d 0) (d 1) (d 1) (d 1)
-  in
-  let r = run ~locals:[ (1, 5) ] body in
-  check_int "1+2+3+4+5" 15 (Util.read_local r 0)
-
-let test_case_branch_table () =
-  let body sel =
-    Printf.sprintf
-      "assign fullword dsp:%s r:13 pos_constant v:%d \
-       case_index lbl:9 fullword dsp:%s r:13 \
-       label_def lbl:9 \
-       label_index lbl:1 \
-       label_index lbl:2 \
-       label_index lbl:3 \
-       label_def lbl:1 \
-       assign fullword dsp:%s r:13 pos_constant v:10 \
-       branch_op lbl:8 \
-       label_def lbl:2 \
-       assign fullword dsp:%s r:13 pos_constant v:20 \
-       branch_op lbl:8 \
-       label_def lbl:3 \
-       assign fullword dsp:%s r:13 pos_constant v:30 \
-       branch_op lbl:8 \
-       label_def lbl:8"
-      (d 1) sel (d 1) (d 0) (d 0) (d 0)
-  in
-  List.iter
-    (fun sel ->
-      let r = run (body sel) in
-      check_int (Printf.sprintf "case %d" sel) (10 * (sel + 1))
-        (Util.read_local r 0))
-    [ 0; 1; 2 ]
-
-(* -- booleans ------------------------------------------------------------------- *)
-
-let test_boolean_assign_from_cc () =
-  let body =
-    Printf.sprintf
-      "assign byteword dsp:%s r:13 cond:m11 icompare fullword dsp:%s r:13 fullword dsp:%s r:13"
-      (d 0) (d 1) (d 2)
-  in
-  let r1 = run ~locals:[ (1, 3); (2, 9) ] body in
-  check_int "3 < 9 is true" 1 (Util.read_byte r1 0);
-  let r2 = run ~locals:[ (1, 9); (2, 3) ] body in
-  check_int "9 < 3 is false" 0 (Util.read_byte r2 0);
-  let body2 =
-    Printf.sprintf
-      "assign byteword dsp:%s r:13 boolean_test byteword dsp:%s r:13"
-      (d 0) (d 3)
-  in
-  let r3 = run ~locals:[ (3, 1 lsl 24) ] body2 in
-  check_int "true boolean copied" 1 (Util.read_byte r3 0);
-  let r4 = run ~locals:[ (3, 0) ] body2 in
-  check_int "false boolean copied" 0 (Util.read_byte r4 0)
-
-let test_boolean_memory_and () =
-  let body =
-    Printf.sprintf
-      "assign byteword dsp:%s r:13 boolean_and byteword dsp:%s r:13 byteword dsp:%s r:13"
-      (d 0) (d 1) (d 2)
-  in
-  let cases = [ (0, 0, 0); (0, 1, 0); (1, 0, 0); (1, 1, 1) ] in
-  List.iter
-    (fun (a, b, expect) ->
-      let r = run ~locals:[ (1, a lsl 24); (2, b lsl 24) ] body in
-      check_int (Printf.sprintf "%d and %d" a b) expect (Util.read_byte r 0))
-    cases
-
-let test_boolean_or_register () =
-  let body =
-    Printf.sprintf
-      "assign byteword dsp:%s r:13 boolean_or cond:m11 icompare fullword \
-       dsp:%s r:13 fullword dsp:%s r:13 byteword dsp:%s r:13"
-      (d 0) (d 1) (d 2) (d 3)
-  in
-  let check a b flag expect =
-    let r = run ~locals:[ (1, a); (2, b); (3, flag lsl 24) ] body in
-    check_int
-      (Printf.sprintf "(%d<%d) or %d" a b flag)
-      expect (Util.read_byte r 0)
-  in
-  check 1 2 0 1;
-  check 2 1 1 1;
-  check 2 1 0 0
-
-let test_boolean_not () =
-  let body =
-    Printf.sprintf
-      "assign byteword dsp:%s r:13 boolean_not byteword dsp:%s r:13"
-      (d 0) (d 1)
-  in
-  let r = run ~locals:[ (1, 1 lsl 24) ] body in
-  check_int "not true" 0 (Util.read_byte r 0);
-  let r = run ~locals:[ (1, 0) ] body in
-  check_int "not false" 1 (Util.read_byte r 0)
-
-(* -- sets ------------------------------------------------------------------------ *)
-
-let test_bit_set_and_test () =
-  let body =
-    Printf.sprintf
-      "set_bit_value addr dsp:%s r:13 elmnt:16 \
-       assign byteword dsp:%s r:13 test_bit_value addr dsp:%s r:13 elmnt:16"
-      (d 1) (d 0) (d 1)
-  in
-  let r = run body in
-  check_int "bit present after set" 1 (Util.read_byte r 0);
-  check_int "set byte" 0x10 (Util.read_byte r 1)
-
-let test_bit_variable_element () =
-  let body =
-    Printf.sprintf
-      "set_bit_value addr dsp:%s r:13 fullword dsp:%s r:13 \
-       assign byteword dsp:%s r:13 test_bit_value addr dsp:%s r:13 fullword dsp:%s r:13"
-      (d 2) (d 1) (d 0) (d 2) (d 1)
-  in
-  List.iter
-    (fun k ->
-      let r = run ~locals:[ (1, k) ] body in
-      check_int (Printf.sprintf "bit %d" k) 1 (Util.read_byte r 0))
-    [ 0; 5; 9; 14 ]
-
-let test_clear_bit () =
-  let body =
-    Printf.sprintf "clear_bit_value addr dsp:%s r:13 elmnt:239" (d 1)
-  in
-  let r = run ~locals:[ (1, 0xFFFFFFFF) ] body in
-  check_int "cleared" 0xEF (Util.read_byte r 1)
-
-let test_word_set_ops () =
-  let body =
-    Printf.sprintf
-      "assign fullword dsp:%s r:13 set_intersect set_union fullword dsp:%s \
-       r:13 fullword dsp:%s r:13 set_difference fullword dsp:%s r:13 \
-       fullword dsp:%s r:13"
-      (d 0) (d 1) (d 2) (d 3) (d 4)
-  in
-  let r =
-    run ~locals:[ (1, 0b1100); (2, 0b0011); (3, 0b1010); (4, 0b0010) ] body
-  in
-  check_int "set algebra" (0b1111 land (0b1010 land lnot 0b0010))
-    (Util.read_local r 0)
-
-(* -- checks ---------------------------------------------------------------------- *)
-
-let test_range_check () =
-  let body =
-    Printf.sprintf
-      "assign fullword dsp:%s r:13 range_check fullword dsp:%s r:13 fullword \
-       dsp:%s r:13 fullword dsp:%s r:13"
-      (d 0) (d 1) (d 2) (d 3)
-  in
-  let ok = run ~locals:[ (1, 5); (2, 1); (3, 10) ] body in
-  Alcotest.(check (option string))
-    "no abort" None ok.Util.outcome.Machine.Runtime.aborted;
-  check_int "value through" 5 (Util.read_local ok 0);
-  let bad = run ~locals:[ (1, 50); (2, 1); (3, 10) ] body in
-  Alcotest.(check (option string))
-    "aborted" (Some "range overflow") bad.Util.outcome.Machine.Runtime.aborted
-
-let test_uninit_check () =
-  let body =
-    Printf.sprintf
-      "assign fullword dsp:%s r:13 uninit_check fullword dsp:%s r:13" (d 0)
-      (d 1)
-  in
-  let ok = run ~locals:[ (1, 42) ] body in
-  Alcotest.(check (option string))
-    "initialized" None ok.Util.outcome.Machine.Runtime.aborted;
-  let bad = run ~locals:[ (1, Machine.Runtime.uninit_pattern) ] body in
-  Alcotest.(check bool)
-    "uninitialized detected" true
-    (bad.Util.outcome.Machine.Runtime.aborted <> None)
-
-let test_abort_op () =
-  let r = run "abort_op errno:9" in
-  Alcotest.(check bool)
-    "aborted with code" true
-    (match r.Util.outcome.Machine.Runtime.aborted with
-    | Some m -> m = "program abort (code 9)"
-    | None -> false)
-
-(* -- reals ----------------------------------------------------------------------- *)
-
-let test_real_arithmetic () =
-  let body =
-    Printf.sprintf
-      "assign dblrealword dsp:%s r:13 rmult radd dblrealword dsp:%s r:13 \
-       dblrealword dsp:%s r:13 dblrealword dsp:%s r:13"
-      (d 0) (d 2) (d 4) (d 6)
-  in
-  let r = run ~floats:[ (2, 1.5); (4, 2.25); (6, 4.0) ] body in
-  Alcotest.(check (float 1e-9))
-    "(1.5+2.25)*4" 15.0
-    (Machine.Sim.load_f64 r.Util.sim (r.Util.frame + Util.local 0))
-
-let test_int_real_conversion () =
-  let body =
-    Printf.sprintf
-      "assign dblrealword dsp:%s r:13 halve s_x_cnvrt fullword dsp:%s r:13 \
-       assign fullword dsp:%s r:13 x_s_cnvrt dblrealword dsp:%s r:13"
-      (d 0) (d 2) (d 3) (d 0)
-  in
-  let r = run ~locals:[ (2, -25) ] ~floats:[] body in
-  Alcotest.(check (float 1e-9))
-    "int->real then halve" (-12.5)
-    (Machine.Sim.load_f64 r.Util.sim (r.Util.frame + Util.local 0));
-  check_int "real->int truncation" (-12) (Util.read_local r 3)
-
-(* -- block moves (through the blockmove trap, not mvc) --------------------------- *)
-
-let test_block_assign () =
-  let body =
-    Printf.sprintf "assign addr dsp:%s r:13 addr dsp:%s r:13 lng:8" (d 0) (d 2)
-  in
-  let r = run ~locals:[ (2, 0x01020304); (3, 0x05060708) ] body in
-  check_int "first word copied" 0x01020304 (Util.read_local r 0);
-  check_int "second word copied" 0x05060708 (Util.read_local r 1)
-
-let test_long_assign () =
-  let body =
-    Printf.sprintf
-      "long_assign addr dsp:%s r:13 addr dsp:%s r:13 lng:8" (d 0) (d 2)
-  in
-  let r = run ~locals:[ (2, 123456); (3, -99) ] body in
-  check_int "word 1" 123456 (Util.read_local r 0);
-  check_int "word 2" (-99) (Util.read_local r 1)
-
-(* -- the page boundary, pc-relatively --------------------------------------------- *)
+    (Util.contains
+       (listing ~locals:[ (1, 50) ]
+          (Printf.sprintf
+             "assign fullword dsp:%s r:13 decr fullword dsp:%s r:13" (d 0)
+             (d 1)))
+       "subi")
 
 let test_branch_over_page_stays_fixed_width () =
   (* the Amdahl target must widen a branch crossing the 4096-byte page
      into the long form; RISC-32 branches are fixed-width pc-relative,
      so the identical program crosses the page with n_long = 0 and no
      literal pool fixpoint *)
-  let filler =
-    List.init 400 (fun _ ->
-        Printf.sprintf
-          "assign fullword dsp:%s r:13 iadd fullword dsp:%s r:13 fullword dsp:%s r:13"
-          (d 4) (d 4) (d 5))
-    |> String.concat " "
-  in
-  let body =
-    Printf.sprintf
-      "branch_op lbl:1 %s label_def lbl:1 assign fullword dsp:%s r:13 pos_constant v:77"
-      filler (d 0)
-  in
-  let r = run ~locals:[ (4, 0); (5, 1) ] body in
-  check_int "branch skipped the filler" 0 (Util.read_local r 4);
-  check_int "target reached" 77 (Util.read_local r 0);
+  let r = run ~locals:[ (4, 0); (5, 1) ] Util.page_crossing_body in
   check_int "no long-form rewrites on a pc-relative target" 0
-    r.Util.genresult.Cogg.Codegen.resolved.Cogg.Loader_gen.n_long;
-  Alcotest.(check bool)
-    "the code really crossed the page" true
-    (Bytes.length r.Util.genresult.Cogg.Codegen.resolved.Cogg.Loader_gen.code
-    > 4096)
-
-(* -- allocation strategies -------------------------------------------------------- *)
-
-let test_strategies_agree () =
-  let body =
-    Printf.sprintf
-      "assign fullword dsp:%s r:13 imod iadd imult fullword dsp:%s r:13 \
-       fullword dsp:%s r:13 idiv fullword dsp:%s r:13 fullword dsp:%s r:13 \
-       fullword dsp:%s r:13"
-      (d 0) (d 1) (d 2) (d 3) (d 4) (d 5)
-  in
-  let expect = ((6 * 7) + (100 / 9)) mod 31 in
-  List.iter
-    (fun strategy ->
-      let r =
-        run ~strategy
-          ~locals:[ (1, 6); (2, 7); (3, 100); (4, 9); (5, 31) ]
-          body
-      in
-      check_int
-        (Cogg.Regalloc.strategy_name strategy)
-        expect (Util.read_local r 0))
-    Cogg.Regalloc.[ Lru; Round_robin; First_free ]
-
-(* -- CSE --------------------------------------------------------------------------- *)
-
-let test_cse_register_reuse () =
-  let body =
-    Printf.sprintf
-      "assign fullword dsp:%s r:13 imult make_common cse:c1 cnt:1 fullword \
-       dsp:%s r:13 iadd fullword dsp:%s r:13 fullword dsp:%s r:13 use_common cse:c1"
-      (d 0) (d 9) (d 1) (d 2)
-  in
-  let r = run ~locals:[ (1, 6); (2, 7) ] body in
-  check_int "(6+7)^2" 169 (Util.read_local r 0)
-
-(* -- the full corpus, on the second backend ---------------------------------------- *)
-
-let test_corpus_verifies () =
-  (* every canonical program compiles for RISC-32 and the machine run
-     agrees with the reference interpreter — the backend-level version
-     of the cross-backend differential oracle *)
-  let t = tables () in
-  List.iter
-    (fun (name, src) ->
-      match Pipeline.verify t src with
-      | Ok v ->
-          Alcotest.(check bool) (name ^ " on risc32") true v.Pipeline.agreed
-      | Error m -> Alcotest.failf "%s: %s" name m)
-    Pipeline.Programs.all
+    r.Util.genresult.Cogg.Codegen.resolved.Cogg.Loader_gen.n_long
 
 let () =
   Alcotest.run "risc32"
@@ -604,67 +191,11 @@ let () =
           Alcotest.test_case "load widths" `Quick test_load_widths;
           Alcotest.test_case "ftoi truncates" `Quick test_ftoi_truncates;
         ] );
-      ( "arithmetic",
+      ( "idioms",
         [
-          Alcotest.test_case "add" `Quick test_add;
-          Alcotest.test_case "mult/div/mod" `Quick test_mult_div_mod;
-          Alcotest.test_case "nested expression" `Quick test_nested_expression;
-          Alcotest.test_case "unaries" `Quick test_unaries;
-          Alcotest.test_case "incr/decr" `Quick test_incr_decr;
-          Alcotest.test_case "shifts and constants" `Quick
-            test_shifts_and_constants;
-          Alcotest.test_case "halfword values" `Quick test_halfword_values;
-        ] );
-      ( "control",
-        [
-          Alcotest.test_case "branch taken" `Quick test_branch_taken;
-          Alcotest.test_case "branch not taken" `Quick test_branch_not_taken;
-          Alcotest.test_case "loop" `Quick test_loop_sums;
-          Alcotest.test_case "case branch table" `Quick test_case_branch_table;
-        ] );
-      ( "booleans",
-        [
-          Alcotest.test_case "assign from cc" `Quick
-            test_boolean_assign_from_cc;
-          Alcotest.test_case "memory and" `Quick test_boolean_memory_and;
-          Alcotest.test_case "or with register" `Quick
-            test_boolean_or_register;
-          Alcotest.test_case "not" `Quick test_boolean_not;
-        ] );
-      ( "sets",
-        [
-          Alcotest.test_case "bit set and test" `Quick test_bit_set_and_test;
-          Alcotest.test_case "variable element" `Quick
-            test_bit_variable_element;
-          Alcotest.test_case "clear bit" `Quick test_clear_bit;
-          Alcotest.test_case "word set ops" `Quick test_word_set_ops;
-        ] );
-      ( "checks",
-        [
-          Alcotest.test_case "range check" `Quick test_range_check;
-          Alcotest.test_case "uninit check" `Quick test_uninit_check;
-          Alcotest.test_case "abort op" `Quick test_abort_op;
-        ] );
-      ( "reals",
-        [
-          Alcotest.test_case "real arithmetic" `Quick test_real_arithmetic;
-          Alcotest.test_case "conversions" `Quick test_int_real_conversion;
-        ] );
-      ( "blocks",
-        [
-          Alcotest.test_case "block assign" `Quick test_block_assign;
-          Alcotest.test_case "long assign" `Quick test_long_assign;
-        ] );
-      ( "spans",
-        [
+          Alcotest.test_case "srai abs" `Quick test_srai_abs;
+          Alcotest.test_case "subi decrement" `Quick test_subi_decrement;
           Alcotest.test_case "page crossing stays fixed-width" `Quick
             test_branch_over_page_stays_fixed_width;
-        ] );
-      ( "misc",
-        [
-          Alcotest.test_case "strategies agree" `Quick test_strategies_agree;
-          Alcotest.test_case "cse register reuse" `Quick
-            test_cse_register_reuse;
-          Alcotest.test_case "corpus verifies" `Quick test_corpus_verifies;
         ] );
     ]
