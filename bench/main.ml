@@ -249,11 +249,9 @@ let ablation_regalloc () =
               | Ok c ->
                   let st = c.Pipeline.gen.Cogg.Codegen.alloc_stats in
                   let reuse =
-                    match st.Cogg.Regalloc.reuse_distances with
-                    | [] -> 0.0
-                    | ds ->
-                        float_of_int (List.fold_left ( + ) 0 ds)
-                        /. float_of_int (List.length ds)
+                    match st.Cogg.Regalloc.reuse_count with
+                    | 0 -> 0.0
+                    | n -> float_of_int st.Cogg.Regalloc.reuse_sum /. float_of_int n
                   in
                   Fmt.pr "%-14s %-12s %8d %8d %10d %12.1f %8b@." wname
                     (Cogg.Regalloc.strategy_name strategy)

@@ -1,6 +1,6 @@
 (* Allocation smoke test:
      dune build @perf-smoke
-   meters minor-heap allocation on two paths and fails if either exceeds
+   meters minor-heap allocation on three paths and fails if any exceeds
    its checked-in budget (bench/perf_budget.txt, passed as argv.(1)).
    Allocation is deterministic, so the gate means the same thing on any
    machine, unlike a wall-clock bound.
@@ -11,13 +11,22 @@
    - line 1: minor words per warm [Codegen.generate] of the appendix-1
      equation under the default (comb) dispatch — the codegen hot path
      (a new per-token allocation, a listing rendered through Format
-     again);
+     again, the disabled cost of the trace spans inside it);
    - line 2: minor words per [Pipeline.compile] pass over the eight
      examples/programs, CSE on — end to end, so an allocation blow-up
      upstream of codegen (front end, shaper, CSE optimizer, linearize)
-     trips it too.  A pass measures about 1.14M words; the string-keyed
-     CSE optimizer this budget replaced took 6.64M, so a return to
-     per-node subtree keys would trip it four times over. *)
+     trips it too.  A pass measures about 481k words; the string-keyed
+     CSE optimizer an earlier budget replaced took 6.64M, so a return to
+     per-node subtree keys would trip it many times over;
+   - line 3: minor words per [Codegen.generate] pass over sixteen seeded
+     [Fuzz.Gen_if] streams, one in four branch-heavy — long runs of
+     reductions straight into the emitter, where template emission and
+     register allocation dominate.  A pass measures about 447k words,
+     most of it the listing and the emitted items themselves; the
+     emitter this budget replaced, which built a diagnostic string per
+     [using] allocation and lists, tuples and closures per reduction,
+     took 2.66M, so a return to per-reduction garbage trips it four
+     times over. *)
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -79,11 +88,11 @@ let () =
                Fmt.epr "%s: not a number: %S@." budget_file line;
                exit 2)
   in
-  let codegen_budget, pipeline_budget =
+  let codegen_budget, pipeline_budget, if_budget =
     match budgets with
-    | [ c; p ] -> (c, p)
+    | [ c; p; i ] -> (c, p, i)
     | _ ->
-        Fmt.epr "%s: want two budget lines, found %d@." budget_file
+        Fmt.epr "%s: want three budget lines, found %d@." budget_file
           (List.length budgets);
         exit 2
   in
@@ -124,4 +133,19 @@ let () =
           | Error m ->
               Fmt.epr "bank program failed to compile: %s@." m;
               exit 2)
-        bank)
+        bank);
+  let streams =
+    List.init 16 (fun i ->
+        Fuzz.Gen_if.program ~branch_heavy:(i mod 4 = 3)
+          (Fuzz.Rng.derive ~seed:1 ~index:i))
+  in
+  meter ~label:"if-streams" ~unit:"pass" ~budget:if_budget ~warmup:1 ~runs:3
+    (fun () ->
+      List.iter
+        (fun toks ->
+          match Cogg.Codegen.generate tables toks with
+          | Ok _ -> ()
+          | Error e ->
+              Fmt.epr "IF stream failed to compile: %a@." Cogg.Codegen.pp_error e;
+              exit 2)
+        streams)

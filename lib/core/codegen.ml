@@ -25,10 +25,15 @@ let pp_error ppf = function
   | Emit_failure m -> Fmt.pf ppf "code emission failed: %s" m
   | Resolve_failure m -> Fmt.pf ppf "loader record generation failed: %s" m
 
-(** Generate code for a linearized IF program. *)
+(** Generate code for a linearized IF program.  The three steps run
+    under {!Trace} spans named like the benchmark's layers — [driver]
+    (the parse, with the template emission it calls back into),
+    [loader] (label resolution and loader records) and [listing] — so
+    [--trace]/[--stats] show where a compile's code generation went. *)
 let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch
     ?(explain = false) ?on_reduce (tables : Tables.t)
     (input : Ifl.Token.t list) : (result_t, error) result =
+  let span name f = Trace.with_span ~cat:"codegen" name f in
   let emitter = Emit.create ~strategy ~explain tables in
   let reduce =
     match on_reduce with
@@ -39,19 +44,22 @@ let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch
           Emit.reduce emitter ~prod ~rhs ~remap
   in
   let result =
-    match Driver.parse ?dispatch tables ~reduce input with
+    match
+      span "driver" (fun () -> Driver.parse ?dispatch tables ~reduce input)
+    with
     | Error e -> Error (Parse_error e)
     | exception Emit.Emit_error m -> Error (Emit_failure m)
     | exception Regalloc.Pressure m -> Error (Emit_failure m)
     | Ok outcome -> (
-        match Emit.finish ~name emitter with
+        match span "loader" (fun () -> Emit.finish ~name emitter) with
         | Error m -> Error (Resolve_failure m)
         | Ok (objmod, resolved) ->
+            let listing = span "listing" (fun () -> Emit.listing emitter) in
             Ok
               {
                 objmod;
                 resolved;
-                listing = Emit.listing emitter;
+                listing;
                 outcome;
                 alloc_stats = Emit.stats emitter;
                 n_items = Code_buffer.length emitter.Emit.buf;

@@ -36,8 +36,6 @@ type dispatch = Flat | Comb
     inner loop never touches a symbol {e name}. *)
 type ptoken = { psym : Grammar.sym; pvalue : Ifl.Value.t }
 
-let ptok ?(value = Ifl.Value.Unit) sym = { psym = sym; pvalue = value }
-
 type error = {
   position : int;
       (** index into the {e original} input of the offending token (the
@@ -162,21 +160,21 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
      condition mask); then the value discipline is checked: terminals
      must carry the declared value kind, register non-terminals a
      register.  Applied once per token, at preparation. *)
-  (* returns the coerced value plus the discipline violation, if any (the
-     error report carries the coerced token, as the per-step checks did) *)
-  let coerce_check sym (value : Ifl.Value.t) : Ifl.Value.t * string option =
-    let value =
-      match (Tables.class_of tables sym, value) with
-      | ( Some (Symtab.Gpr | Symtab.Pair | Symtab.Fpr | Symtab.Fpair),
-          Ifl.Value.Int n ) ->
-          Ifl.Value.Reg n
-      | _ -> (
-          match (Tables.kind_of tables sym, value) with
-          | Some Symtab.Klabel, Ifl.Value.Int n -> Ifl.Value.Label n
-          | Some Symtab.Kcse, Ifl.Value.Int n -> Ifl.Value.Cse n
-          | Some Symtab.Kcond, Ifl.Value.Int n -> Ifl.Value.Cond n
-          | _ -> value)
-    in
+  let coerce sym (value : Ifl.Value.t) : Ifl.Value.t =
+    match (Tables.class_of tables sym, value) with
+    | Some (Symtab.Gpr | Symtab.Pair | Symtab.Fpr | Symtab.Fpair), Ifl.Value.Int n
+      ->
+        Ifl.Value.Reg n
+    | _ -> (
+        match (Tables.kind_of tables sym, value) with
+        | Some Symtab.Klabel, Ifl.Value.Int n -> Ifl.Value.Label n
+        | Some Symtab.Kcse, Ifl.Value.Int n -> Ifl.Value.Cse n
+        | Some Symtab.Kcond, Ifl.Value.Int n -> Ifl.Value.Cond n
+        | _ -> value)
+  in
+  (* the discipline violation of a coerced value, if any (the error
+     report carries the coerced token, as the per-step checks did) *)
+  let violation sym (value : Ifl.Value.t) : string option =
     let kind_ok =
       match (Tables.kind_of tables sym, value) with
       | Some Symtab.Kint, (Ifl.Value.Int _ | Ifl.Value.Unit) -> true
@@ -205,22 +203,22 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
       | None, _ -> true
     in
     if not kind_ok then
-      (value, Some "token value does not match the terminal's declared kind")
+      Some "token value does not match the terminal's declared kind"
     else if not class_ok then
-      ( value,
-        Some
-          (match value with
-          | Ifl.Value.Reg _ -> "register binding out of machine range"
-          | _ -> "register non-terminal token without a register binding") )
-    else (value, None)
+      Some
+        (match value with
+        | Ifl.Value.Reg _ -> "register binding out of machine range"
+        | _ -> "register non-terminal token without a register binding")
+    else None
   in
   let prepare (tok : Ifl.Token.t) : ptoken =
     match Grammar.sym g tok.Ifl.Token.sym with
     | None -> bad_ptok tok "symbol is not part of the machine grammar"
     | Some sym -> (
-        match coerce_check sym tok.Ifl.Token.value with
-        | v, None -> { psym = sym; pvalue = v }
-        | v, Some msg -> bad_ptok { tok with Ifl.Token.value = v } msg)
+        let v = coerce sym tok.Ifl.Token.value in
+        match violation sym v with
+        | None -> { psym = sym; pvalue = v }
+        | Some msg -> bad_ptok { tok with Ifl.Token.value = v } msg)
   in
   (* the original stream, prepared in input order in a single pass; the
      cursor below is also the reported error [position] *)
@@ -254,10 +252,19 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
         { Ifl.Token.sym = "<uninterned>"; value = p.pvalue }
         "symbol is not part of the machine grammar"
     else
-      match coerce_check p.psym p.pvalue with
-      | v, None -> if v == p.pvalue then p else { p with pvalue = v }
-      | v, Some msg ->
+      let v = coerce p.psym p.pvalue in
+      match violation p.psym v with
+      | None -> if v == p.pvalue then p else { p with pvalue = v }
+      | Some msg ->
           bad_ptok { Ifl.Token.sym = Grammar.name g p.psym; value = v } msg
+  in
+  (* the first of a reduction's prefixed tokens is consumed first, so it
+     goes on top of [pre]: the rest are pushed before it *)
+  let rec push_prefixed = function
+    | [] -> ()
+    | p :: rest ->
+        push_prefixed rest;
+        push_pre (prepare_prefixed p)
   in
   (* the translation/parse stack: parallel state/token arrays *)
   let states = ref (Array.make 64 0) in
@@ -386,20 +393,15 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
                 "translation stack underflow (invalid IF)"
             else begin
               let base = !sp - n in
-              let toks_arr = !toks in
-              let rhs = Array.init n (fun i -> toks_arr.(base + i)) in
+              let rhs = Array.sub !toks base n in
               sp := base;
-              let prefixed =
-                if Tables.is_user_prod tables p then
-                  reduce ~prod:p ~rhs ~remap
-                else
-                  (* augmentation production: prefix the bare LHS *)
-                  [ { psym = prod.Grammar.lhs; pvalue = Ifl.Value.Unit } ]
-              in
-              (* first element of [prefixed] is consumed first *)
-              List.iter
-                (fun p -> push_pre (prepare_prefixed p))
-                (List.rev prefixed);
+              if Tables.is_user_prod tables p then
+                push_prefixed (reduce ~prod:p ~rhs ~remap)
+              else
+                (* augmentation production: prefix the bare LHS *)
+                push_pre
+                  (prepare_prefixed
+                     { psym = prod.Grammar.lhs; pvalue = Ifl.Value.Unit });
               loop ()
             end
           end

@@ -22,10 +22,6 @@ type ptoken = { psym : Grammar.sym; pvalue : Ifl.Value.t }
     trade exclusively in this representation — no string hashing and no
     token-record allocation on the shift path. *)
 
-val ptok : ?value:Ifl.Value.t -> Grammar.sym -> ptoken
-(** [ptok ?value sym] is [{ psym = sym; pvalue = value }] ([value]
-    defaults to [Unit]). *)
-
 type error = {
   position : int;
       (** index into the {e original} input of the offending token (the

@@ -54,7 +54,15 @@ type t = {
   mutable cse_hits : int;
   mutable cse_reloads : int;
   mutable cse_invalidations : int;
+  (* scratch state of the reduction in progress, reused by every
+     reduction so that emission allocates only what it emits *)
+  mutable allocs : int array;  (** register per [using] slot *)
+  ops : Machine.Target.Operands.t;  (** operands of the instruction being built *)
+  mutable pushed : Driver.ptoken array;  (** tokens to prefix, in order *)
+  mutable n_pushed : int;
 }
+
+let no_token = { Driver.psym = -1; pvalue = Ifl.Value.Unit }
 
 let create ?(strategy = Regalloc.Lru) ?(explain = false) (tables : Tables.t)
     : t =
@@ -78,6 +86,10 @@ let create ?(strategy = Regalloc.Lru) ?(explain = false) (tables : Tables.t)
     cse_hits = 0;
     cse_reloads = 0;
     cse_invalidations = 0;
+    allocs = Array.make 4 0;
+    ops = Machine.Target.Operands.create ();
+    pushed = Array.make 4 no_token;
+    n_pushed = 0;
   }
 
 let items t = Code_buffer.items t.buf
@@ -100,58 +112,74 @@ let flush_metrics t =
 
 (* -- appending with skip bookkeeping -------------------------------------- *)
 
-let record_origin t note =
+(* Why an item was emitted beyond its production's own template; the
+   text is rendered only for [--explain]. *)
+type note =
+  | No_note
+  | Spill of int  (** CSE id *)
+  | Transfer of int * int  (** from, to *)
+  | Copy_on_write
+  | Save_before_clobber of int  (** CSE id *)
+  | Skip_target
+
+let note_text = function
+  | No_note -> ""
+  | Spill id -> Fmt.str "spill: save CSE %d to its temporary" id
+  | Transfer (src, dst) ->
+      Fmt.str "need r%d: transfer old contents to r%d" src dst
+  | Copy_on_write -> "modifies: copy-on-write of a shared register"
+  | Save_before_clobber id -> Fmt.str "modifies: save CSE %d before clobber" id
+  | Skip_target -> "skip target"
+
+let add_item t note item =
+  Code_buffer.add t.buf item;
   if t.explain then
     t.origins <-
       (match note with
-      | None -> t.cur_origin
-      | Some n -> t.cur_origin ^ " — " ^ n)
+      | No_note -> t.cur_origin
+      | n -> t.cur_origin ^ " — " ^ note_text n)
       :: t.origins
 
-let append_instruction ?note t item =
-  Code_buffer.add t.buf item;
-  record_origin t note;
-  let still_open = ref [] in
-  List.iter
-    (fun (count, lbl) ->
+(* one more instruction went out: count the open skips down, placing the
+   internal label of each that reaches its target (in list order);
+   reports whether any did *)
+let rec count_down_skips t closed = function
+  | [] -> closed
+  | (count, lbl) :: rest ->
       decr count;
-      if !count <= 0 then begin
-        Code_buffer.add t.buf (Code_buffer.Label_def lbl);
-        record_origin t (Some "skip target")
-      end
-      else still_open := (count, lbl) :: !still_open)
-    t.open_skips;
-  t.open_skips <- List.rev !still_open
+      let reached = !count <= 0 in
+      if reached then add_item t Skip_target (Code_buffer.Label_def lbl);
+      count_down_skips t (closed || reached) rest
 
-let append_data ?note t item =
-  Code_buffer.add t.buf item;
-  record_origin t note
+let append_instruction t note item =
+  add_item t note item;
+  if t.open_skips <> [] && count_down_skips t false t.open_skips then
+    t.open_skips <- List.filter (fun (count, _) -> !count > 0) t.open_skips
+
+let append_data t item = add_item t No_note item
 
 (* -- banks and classes ----------------------------------------------------- *)
 
-let class_of_src t (c : Template.compiled) (rhs_syms : Grammar.sym array)
+let rec need_class (needs : Template.need_req array) r i =
+  if i = Array.length needs then Symtab.Gpr
+  else if needs.(i).Template.n_reg = r then needs.(i).Template.n_class
+  else need_class needs r (i + 1)
+
+let rec class_of_src t (c : Template.compiled) (rhs : Driver.ptoken array)
     (s : Template.src) : Symtab.reg_class =
-  let rec go = function
-    | Template.Alloc i -> c.Template.c_allocs.(i).Template.a_class
-    | Template.Phys r -> (
-        match
-          Array.find_opt (fun (n : Template.need_req) -> n.n_reg = r)
-            c.Template.c_needs
-        with
-        | Some n -> n.Template.n_class
-        | None -> Symtab.Gpr)
-    | Template.Stack k -> (
-        match Tables.class_of t.tables rhs_syms.(k) with
-        | Some cls -> cls
-        | None -> Symtab.Gpr)
-    | Template.Plus (s, _) -> go s
-    | Template.Lit _ -> Symtab.Gpr
-  in
-  go s
+  match s with
+  | Template.Alloc i -> c.Template.c_allocs.(i).Template.a_class
+  | Template.Phys r -> need_class c.Template.c_needs r 0
+  | Template.Stack k -> (
+      match Tables.class_of t.tables rhs.(k).Driver.psym with
+      | Some cls -> cls
+      | None -> Symtab.Gpr)
+  | Template.Plus (s, _) -> class_of_src t c rhs s
+  | Template.Lit _ -> Symtab.Gpr
 
 let bank_of_sym t sym : Regalloc.bank =
-  match Tables.bank_of t.tables sym with
-  | Some b -> b
+  match Tables.class_of t.tables sym with
+  | Some cls -> Regalloc.bank_of_class cls
   | None -> Regalloc.Gp
 
 (* -- target hooks ----------------------------------------------------------- *)
@@ -165,348 +193,387 @@ let save_cse t (ev : Regalloc.evicted) =
   match Cse.find t.cse ev.Regalloc.ev_cse with
   | None -> err "evicted register bound to unknown CSE %d" ev.Regalloc.ev_cse
   | Some entry ->
-      append_instruction t
-        ~note:(Fmt.str "spill: save CSE %d to its temporary" entry.Cse.id)
+      append_instruction t (Spill entry.Cse.id)
         (Code_buffer.Fixed
            ((target t).Machine.Target.spill_store ~fp:entry.Cse.fp
               ~reg:ev.Regalloc.ev_reg ~dsp:entry.Cse.temp_dsp
               ~base:entry.Cse.temp_base));
       Cse.to_memory t.cse entry.Cse.id
 
-(* -- instruction building --------------------------------------------------- *)
+(* -- register requests ------------------------------------------------------ *)
 
-let build_insn t (mnem : string) (vals : (int * int list) list) :
-    Machine.Insn.t =
-  (* vals: per operand, (base value, sub values); shape checking happened
-     at table-construction time against the same target *)
-  match (target t).Machine.Target.build_insn ~mnem vals with
+(* the production responsible for everything a reduction emits; the
+   context attached to a register-pressure failure *)
+let prod_desc t prod =
+  let g = t.tables.Tables.grammar in
+  Fmt.str "production %d (%s)" prod
+    (Grammar.prod_to_string g (Grammar.prod g prod))
+
+let pressure_failure m =
+  Trace.instant "regalloc.pressure" ~args:[ ("detail", m) ];
+  Metrics.add m_pressure_failures 1
+
+(* allocation with diagnosable failure: re-raise Pressure enriched with
+   the directive and production that triggered the exhaustion (the
+   message is built only then); an evicted CSE is saved before the
+   register is handed out *)
+let alloc_for t ~prod ~copy_on_write cls =
+  match Regalloc.alloc t.regs cls with
+  | reg, evicted ->
+      (match evicted with Some ev -> save_cse t ev | None -> ());
+      reg
+  | exception Regalloc.Pressure m ->
+      let directive =
+        if copy_on_write then "modifies (copy-on-write)"
+        else Fmt.str "using %a" Symtab.pp_reg_class cls
+      in
+      let m =
+        Fmt.str "%s — while serving '%s' of %s" m directive (prod_desc t prod)
+      in
+      pressure_failure m;
+      raise (Regalloc.Pressure m)
+
+(* [need r<n>]: secure the specific register, moving a busy register's
+   contents elsewhere and rebinding the stack and the CSE table *)
+let serve_need t ~prod ~remap (req : Template.need_req) =
+  match Regalloc.need t.regs req.Template.n_class req.Template.n_reg with
+  | Error m ->
+      let m =
+        Fmt.str "%s — while serving 'need r%d' (%a) of %s" m req.Template.n_reg
+          Symtab.pp_reg_class req.Template.n_class (prod_desc t prod)
+      in
+      pressure_failure m;
+      err "%s" m
+  | Ok (transfer, evicted) -> (
+      (match evicted with Some ev -> save_cse t ev | None -> ());
+      match transfer with
+      | None -> ()
+      | Some tr ->
+          (* move the old contents and rebind the translation stack *)
+          let bank = Regalloc.bank_of_class req.Template.n_class in
+          append_instruction t
+            (Transfer (tr.Regalloc.tr_from, tr.Regalloc.tr_to))
+            (Code_buffer.Fixed
+               ((target t).Machine.Target.reg_move ~fp:(bank = Regalloc.Fp)
+                  ~dst:tr.Regalloc.tr_to ~src:tr.Regalloc.tr_from));
+          remap (fun (tok : Driver.ptoken) ->
+              match tok.Driver.pvalue with
+              | Ifl.Value.Reg r
+                when r = tr.Regalloc.tr_from
+                     && tok.Driver.psym >= 0
+                     && bank_of_sym t tok.Driver.psym = bank ->
+                  { tok with Driver.pvalue = Ifl.Value.Reg tr.Regalloc.tr_to }
+              | _ -> tok);
+          Hashtbl.iter
+            (fun _ (e : Cse.entry) ->
+              match e.Cse.residence with
+              | Cse.In_reg r when r = tr.Regalloc.tr_from ->
+                  e.Cse.residence <- Cse.In_reg tr.Regalloc.tr_to
+              | _ -> ())
+            t.cse.Cse.entries)
+
+(* -- template interpretation ------------------------------------------------ *)
+
+let rec eval t (rhs : Driver.ptoken array) (s : Template.src) : int =
+  match s with
+  | Template.Stack k -> (
+      match rhs.(k).Driver.pvalue with
+      | Ifl.Value.Unit -> err "template references valueless RHS slot %d" k
+      | v -> Ifl.Value.to_int v)
+  | Template.Alloc i -> t.allocs.(i)
+  | Template.Phys r -> r
+  | Template.Lit n -> n
+  | Template.Plus (s, k) -> eval t rhs s + k
+
+let push t sym value =
+  if t.n_pushed = Array.length t.pushed then begin
+    let pushed = Array.make (2 * t.n_pushed) no_token in
+    Array.blit t.pushed 0 pushed 0 t.n_pushed;
+    t.pushed <- pushed
+  end;
+  t.pushed.(t.n_pushed) <- { Driver.psym = sym; pvalue = value };
+  t.n_pushed <- t.n_pushed + 1
+
+module Ops = Machine.Target.Operands
+
+(* Evaluate an instruction's operands into [t.ops], in the order the
+   values were always evaluated (an operand's sub-operands before its
+   base), so a template reading two valueless slots reports the same
+   one. *)
+let rec add_subs t rhs = function
+  | [] -> ()
+  | s :: rest ->
+      Ops.add_sub t.ops (eval t rhs s);
+      add_subs t rhs rest
+
+let rec add_operands t rhs = function
+  | [] -> ()
+  | (o : Template.operand) :: rest ->
+      let k = Ops.count t.ops in
+      Ops.add t.ops;
+      add_subs t rhs o.Template.subs;
+      Ops.set_base t.ops k (eval t rhs o.Template.base);
+      add_operands t rhs rest
+
+(* shape checking happened at table-construction time against the same
+   target *)
+let build_insn t (mnem : string) : Machine.Insn.t =
+  match (target t).Machine.Target.build_insn ~mnem t.ops with
   | Ok i -> i
   | Error m -> err "%s" m
 
-(* -- the reduction --------------------------------------------------------- *)
+(* RHS slots holding register [r] of [bank]: the production's own claims
+   on a register a [modifies] is about to destroy *)
+let claims t (rhs : Driver.ptoken array) bank r =
+  let n = ref 0 in
+  for i = 0 to Array.length rhs - 1 do
+    match rhs.(i).Driver.pvalue with
+    | Ifl.Value.Reg r' when r' = r -> (
+        match Tables.class_of t.tables rhs.(i).Driver.psym with
+        | Some cls when Regalloc.bank_of_class cls = bank -> incr n
+        | _ -> ())
+    | _ -> ()
+  done;
+  !n
+
+let modifies t ~prod (c : Template.compiled) rhs (src : Template.src) =
+  let cls = class_of_src t c rhs src in
+  let bank = Regalloc.bank_of_class cls in
+  (* Copy-on-write: the template is about to destroy the register in
+     place.  If other live references exist (another RHS slot aliases it
+     through a CSE, or the register still holds a CSE with pending uses),
+     the production's own operand moves to a fresh register first. *)
+  (match src with
+  | Template.Stack k ->
+      let r = eval t rhs src in
+      if
+        Regalloc.is_busy t.regs bank r
+        && Regalloc.use_count t.regs bank r > claims t rhs bank r
+      then begin
+        let fresh = alloc_for t ~prod ~copy_on_write:true cls in
+        append_instruction t Copy_on_write
+          (Code_buffer.Fixed
+             ((target t).Machine.Target.reg_move ~fp:(bank = Regalloc.Fp)
+                ~dst:fresh ~src:r));
+        rhs.(k) <- { (rhs.(k)) with Driver.pvalue = Ifl.Value.Reg fresh };
+        Regalloc.release t.regs bank r
+      end
+  | _ -> ());
+  let r = eval t rhs src in
+  match Regalloc.touch t.regs bank r with
+  | None -> ()
+  | Some cse_id -> (
+      match Cse.find t.cse cse_id with
+      | Some entry when entry.Cse.remaining > 0 ->
+          (* save the CSE before the register is clobbered; its remaining
+             uses will reload from the temporary, so their share of the
+             use count is dropped *)
+          t.cse_invalidations <- t.cse_invalidations + 1;
+          append_instruction t (Save_before_clobber cse_id)
+            (Code_buffer.Fixed
+               ((target t).Machine.Target.spill_store ~fp:entry.Cse.fp ~reg:r
+                  ~dsp:entry.Cse.temp_dsp ~base:entry.Cse.temp_base));
+          Cse.to_memory t.cse cse_id;
+          Regalloc.drop_cse_shares t.regs bank r
+      | Some _ ->
+          t.cse_invalidations <- t.cse_invalidations + 1;
+          Cse.to_memory t.cse cse_id
+      | None -> ())
+
+let find_common t rhs (cse : Template.src) push_sym =
+  let id = eval t rhs cse in
+  match Cse.find t.cse id with
+  | None -> err "find_common: CSE %d was never defined" id
+  | Some entry -> (
+      Cse.consume t.cse id;
+      match entry.Cse.residence with
+      | Cse.In_reg r ->
+          (* the reserved share becomes the stack reference the push
+             below retains *)
+          t.cse_hits <- t.cse_hits + 1;
+          Regalloc.consume_cse_share t.regs
+            (if entry.Cse.fp then Regalloc.Fp else Regalloc.Gp)
+            r;
+          push t push_sym (Ifl.Value.Reg r)
+      | Cse.In_mem -> (
+          t.cse_reloads <- t.cse_reloads + 1;
+          match entry.Cse.ty with
+          | None -> err "find_common: CSE %d has no reload type operator" id
+          | Some ty ->
+              (* prefix the address of the temporary; the ordinary load
+                 productions bring it back *)
+              push t ty Ifl.Value.Unit;
+              push t t.reload_dsp (Ifl.Value.Int entry.Cse.temp_dsp);
+              push t t.reload_reg (Ifl.Value.Reg entry.Cse.temp_base)))
+
+(* one step of a production's template sequence *)
+let step t ~prod (c : Template.compiled) rhs (st : Template.step) =
+  match st with
+  | Template.Instr { mnem; ops } ->
+      Ops.clear t.ops;
+      add_operands t rhs ops;
+      append_instruction t No_note (Code_buffer.Fixed (build_insn t mnem))
+  | Template.Modifies src -> modifies t ~prod c rhs src
+  | Template.Ignore_lhs -> ()
+  | Template.Label_location src ->
+      append_data t (Code_buffer.Label_def (Code_buffer.User (eval t rhs src)))
+  | Template.Label_ptr src ->
+      append_data t (Code_buffer.Word_label (Code_buffer.User (eval t rhs src)))
+  | Template.Branch { cond; lbl; idx } ->
+      append_instruction t No_note
+        (Code_buffer.Branch_site
+           {
+             mask = eval t rhs cond;
+             lbl = Code_buffer.User (eval t rhs lbl);
+             idx = eval t rhs idx;
+             x = 0;
+           })
+  | Template.Branch_indexed { cond; lbl; idx; index } ->
+      append_instruction t No_note
+        (Code_buffer.Branch_site
+           {
+             mask = eval t rhs cond;
+             lbl = Code_buffer.User (eval t rhs lbl);
+             idx = eval t rhs idx;
+             x = eval t rhs index;
+           })
+  | Template.Skip { cond; dist; idx } ->
+      let lbl = Code_buffer.Internal t.next_internal in
+      t.next_internal <- t.next_internal + 1;
+      let d = eval t rhs dist in
+      append_instruction t No_note
+        (Code_buffer.Branch_site
+           { mask = eval t rhs cond; lbl; idx = eval t rhs idx; x = 0 });
+      if d - 1 <= 0 then append_data t (Code_buffer.Label_def lbl)
+      else t.open_skips <- (ref (d - 1), lbl) :: t.open_skips
+  | Template.Case_load { reg; lbl; idx } ->
+      append_instruction t No_note
+        (Code_buffer.Case_site
+           {
+             reg = eval t rhs reg;
+             lbl = Code_buffer.User (eval t rhs lbl);
+             idx = eval t rhs idx;
+           })
+  | Template.Push { sym; value } -> push t sym (Ifl.Value.Reg (eval t rhs value))
+  | Template.Ibm_length src ->
+      let v = eval t rhs src in
+      if v < 1 || v > 256 then
+        err "IBM_length: %d outside the machine's 1..256 range" v
+  | Template.Stmt_record src ->
+      t.stmt_records <-
+        (eval t rhs src, Code_buffer.n_instructions t.buf) :: t.stmt_records
+  | Template.List_request src ->
+      t.list_requests <- eval t rhs src :: t.list_requests
+  | Template.Abort src ->
+      List.iter
+        (fun i -> append_instruction t No_note (Code_buffer.Fixed i))
+        ((target t).Machine.Target.abort_insns ~errno:(eval t rhs src))
+  | Template.Common { ty; fp; cse; cnt; reg; dsp; base } ->
+      let id = eval t rhs cse
+      and count = eval t rhs cnt
+      and r = eval t rhs reg in
+      Cse.define t.cse ~id ~ty ~fp ~count ~reg:r ~temp_dsp:(eval t rhs dsp)
+        ~temp_base:(eval t rhs base);
+      let bank = if fp then Regalloc.Fp else Regalloc.Gp in
+      Regalloc.retain ~count t.regs bank r;
+      Regalloc.bind_cse ~shares:count t.regs bank r id
+  | Template.Find_common { cse; fp = _; push_sym } ->
+      find_common t rhs cse push_sym
+
+(* the [--explain] annotation of the reduction in progress *)
+let describe t prod (c : Template.compiled) =
+  let g = t.tables.Tables.grammar in
+  let dirs =
+    Array.to_list
+      (Array.map
+         (fun (r : Template.alloc_req) ->
+           Fmt.str "using %a" Symtab.pp_reg_class r.Template.a_class)
+         c.Template.c_allocs)
+    @ Array.to_list
+        (Array.map
+           (fun (r : Template.need_req) -> Fmt.str "need r%d" r.Template.n_reg)
+           c.Template.c_needs)
+  in
+  Fmt.str "p%d %s%s" prod
+    (Grammar.prod_to_string g (Grammar.prod g prod))
+    (match dirs with [] -> "" | ds -> "  [" ^ String.concat "; " ds ^ "]")
+
+let rec pushed_tokens t i acc =
+  if i < 0 then acc else pushed_tokens t (i - 1) (t.pushed.(i) :: acc)
 
 (** Code emission for one reduction.  Matches {!Driver.parse}'s [reduce]
     callback signature: the popped tokens arrive already interned, and
     every token pushed back carries its grammar id directly — the
-    emission path never touches a symbol name. *)
+    emission path never touches a symbol name.
+
+    {b Memory discipline.}  The reduction interprets its compiled
+    template in place: operand values go through the emitter's reusable
+    {!Machine.Target.Operands} buffer, allocated registers and prefixed
+    tokens through reusable scratch arrays, and no closure, list or
+    diagnostic string is built per reduction.  What it allocates is
+    what it emits — the code-buffer items and the prefixed tokens (and
+    the returned list holding them); pressure messages and [--explain]
+    notes are rendered only on those paths. *)
 let reduce (t : t) ~(prod : int) ~(rhs : Driver.ptoken array)
     ~(remap : (Driver.ptoken -> Driver.ptoken) -> unit) : Driver.ptoken list =
-  let g = t.tables.Tables.grammar in
-  let p = Grammar.prod g prod in
-  let rhs_syms = Array.map (fun (tok : Driver.ptoken) -> tok.Driver.psym) rhs in
   let c =
     match Tables.compiled t.tables prod with
     | Some c -> c
     | None -> err "no compiled templates for production %d" prod
   in
-  (* the production responsible for everything this reduction emits; also
-     the context attached to any register-pressure failure below *)
-  let prod_desc =
-    lazy (Fmt.str "production %d (%s)" prod (Grammar.prod_to_string g p))
-  in
-  if t.explain then begin
-    let dirs =
-      Array.to_list
-        (Array.map
-           (fun (r : Template.alloc_req) ->
-             Fmt.str "using %a" Symtab.pp_reg_class r.Template.a_class)
-           c.Template.c_allocs)
-      @ Array.to_list
-          (Array.map
-             (fun (r : Template.need_req) -> Fmt.str "need r%d" r.Template.n_reg)
-             c.Template.c_needs)
-    in
-    t.cur_origin <-
-      Fmt.str "p%d %s%s" prod (Grammar.prod_to_string g p)
-        (match dirs with
-        | [] -> ""
-        | ds -> "  [" ^ String.concat "; " ds ^ "]")
-  end;
-  (* allocation with diagnosable failure: re-raise Pressure enriched with
-     the directive and production that triggered the exhaustion *)
-  let alloc_for ~directive cls =
-    match Regalloc.alloc t.regs cls with
-    | res -> res
-    | exception Regalloc.Pressure m ->
-        let m =
-          Fmt.str "%s — while serving '%s' of %s" m directive
-            (Lazy.force prod_desc)
-        in
-        Trace.instant "regalloc.pressure" ~args:[ ("detail", m) ];
-        Metrics.add m_pressure_failures 1;
-        raise (Regalloc.Pressure m)
-  in
+  if t.explain then t.cur_origin <- describe t prod c;
   Regalloc.begin_reduction t.regs;
   (* 1. allocate all requested registers *)
-  let allocs =
-    Array.map
-      (fun (req : Template.alloc_req) ->
-        let reg, evicted =
-          alloc_for
-            ~directive:
-              (Fmt.str "using %a" Symtab.pp_reg_class req.Template.a_class)
-            req.Template.a_class
-        in
-        Option.iter (save_cse t) evicted;
-        reg)
-      c.Template.c_allocs
-  in
-  Array.iter
-    (fun (req : Template.need_req) ->
-      match Regalloc.need t.regs req.Template.n_class req.Template.n_reg with
-      | Error m ->
-          let m =
-            Fmt.str "%s — while serving 'need r%d' (%a) of %s" m
-              req.Template.n_reg Symtab.pp_reg_class req.Template.n_class
-              (Lazy.force prod_desc)
-          in
-          Trace.instant "regalloc.pressure" ~args:[ ("detail", m) ];
-          Metrics.add m_pressure_failures 1;
-          err "%s" m
-      | Ok (transfer, evicted) ->
-          Option.iter (save_cse t) evicted;
-          Option.iter
-            (fun (tr : Regalloc.transfer) ->
-              (* move the old contents and rebind the translation stack *)
-              let bank = Regalloc.bank_of_class req.Template.n_class in
-              append_instruction t
-                ~note:
-                  (Fmt.str "need r%d: transfer old contents to r%d"
-                     tr.Regalloc.tr_from tr.Regalloc.tr_to)
-                (Code_buffer.Fixed
-                   ((target t).Machine.Target.reg_move
-                      ~fp:(bank = Regalloc.Fp) ~dst:tr.Regalloc.tr_to
-                      ~src:tr.Regalloc.tr_from));
-              remap (fun (tok : Driver.ptoken) ->
-                  match tok.Driver.pvalue with
-                  | Ifl.Value.Reg r
-                    when r = tr.Regalloc.tr_from
-                         && tok.Driver.psym >= 0
-                         && bank_of_sym t tok.Driver.psym = bank ->
-                      { tok with Driver.pvalue = Ifl.Value.Reg tr.Regalloc.tr_to }
-                  | _ -> tok);
-              Hashtbl.iter
-                (fun _ (e : Cse.entry) ->
-                  match e.Cse.residence with
-                  | Cse.In_reg r when r = tr.Regalloc.tr_from ->
-                      e.Cse.residence <- Cse.In_reg tr.Regalloc.tr_to
-                  | _ -> ())
-                t.cse.Cse.entries)
-            transfer)
-    c.Template.c_needs;
-  (* 2. fill in required values *)
-  let rec eval (s : Template.src) : int =
-    match s with
-    | Template.Stack k -> (
-        match rhs.(k).Driver.pvalue with
-        | Ifl.Value.Unit -> err "template references valueless RHS slot %d" k
-        | v -> Ifl.Value.to_int v)
-    | Template.Alloc i -> allocs.(i)
-    | Template.Phys r -> r
-    | Template.Lit n -> n
-    | Template.Plus (s, k) -> eval s + k
-  in
-  let pushed = ref [] (* tokens to prefix, reversed *) in
-  let push_token sym reg =
-    pushed := Driver.ptok ~value:(Ifl.Value.Reg reg) sym :: !pushed
-  in
-  (* 3. interpret the template sequence *)
-  Array.iter
-    (fun (step : Template.step) ->
-      match step with
-      | Template.Instr { mnem; ops } ->
-          let vals =
-            List.map
-              (fun (o : Template.operand) ->
-                (eval o.Template.base, List.map eval o.Template.subs))
-              ops
-          in
-          append_instruction t (Code_buffer.Fixed (build_insn t mnem vals))
-      | Template.Modifies src ->
-          let cls = class_of_src t c rhs_syms src in
-          let bank = Regalloc.bank_of_class cls in
-          (* Copy-on-write: the template is about to destroy the register
-             in place.  If other live references exist (another RHS slot
-             aliases it through a CSE, or the register still holds a CSE
-             with pending uses), the production's own operand moves to a
-             fresh register first. *)
-          (match src with
-          | Template.Stack k ->
-              let r = eval src in
-              let claims = ref 0 in
-              Array.iteri
-                (fun i (tok : Driver.ptoken) ->
-                  match tok.Driver.pvalue with
-                  | Ifl.Value.Reg r'
-                    when r' = r
-                         && Option.map Regalloc.bank_of_class
-                              (Tables.class_of t.tables rhs_syms.(i))
-                            = Some bank ->
-                      incr claims
-                  | _ -> ())
-                rhs;
-              if
-                Regalloc.is_busy t.regs bank r
-                && Regalloc.use_count t.regs bank r > !claims
-              then begin
-                let fresh, evicted =
-                  alloc_for ~directive:"modifies (copy-on-write)" cls
-                in
-                Option.iter (save_cse t) evicted;
-                append_instruction t ~note:"modifies: copy-on-write of a shared register"
-                  (Code_buffer.Fixed
-                     ((target t).Machine.Target.reg_move
-                        ~fp:(bank = Regalloc.Fp) ~dst:fresh ~src:r));
-                rhs.(k) <-
-                  { rhs.(k) with Driver.pvalue = Ifl.Value.Reg fresh };
-                Regalloc.release t.regs bank r
-              end
-          | _ -> ());
-          let r = eval src in
-          Option.iter
-            (fun cse_id ->
-              match Cse.find t.cse cse_id with
-              | Some entry when entry.Cse.remaining > 0 ->
-                  (* save the CSE before the register is clobbered; its
-                     remaining uses will reload from the temporary, so
-                     their share of the use count is dropped *)
-                  t.cse_invalidations <- t.cse_invalidations + 1;
-                  append_instruction t
-                    ~note:(Fmt.str "modifies: save CSE %d before clobber" cse_id)
-                    (Code_buffer.Fixed
-                       ((target t).Machine.Target.spill_store ~fp:entry.Cse.fp
-                          ~reg:r ~dsp:entry.Cse.temp_dsp
-                          ~base:entry.Cse.temp_base));
-                  Cse.to_memory t.cse cse_id;
-                  Regalloc.drop_cse_shares t.regs bank r
-              | Some _ ->
-                  t.cse_invalidations <- t.cse_invalidations + 1;
-                  Cse.to_memory t.cse cse_id
-              | None -> ())
-            (Regalloc.touch t.regs bank r)
-      | Template.Ignore_lhs -> ()
-      | Template.Label_location src ->
-          append_data t (Code_buffer.Label_def (Code_buffer.User (eval src)))
-      | Template.Label_ptr src ->
-          append_data t (Code_buffer.Word_label (Code_buffer.User (eval src)))
-      | Template.Branch { cond; lbl; idx } ->
-          append_instruction t
-            (Code_buffer.Branch_site
-               {
-                 mask = eval cond;
-                 lbl = Code_buffer.User (eval lbl);
-                 idx = eval idx;
-                 x = 0;
-               })
-      | Template.Branch_indexed { cond; lbl; idx; index } ->
-          append_instruction t
-            (Code_buffer.Branch_site
-               {
-                 mask = eval cond;
-                 lbl = Code_buffer.User (eval lbl);
-                 idx = eval idx;
-                 x = eval index;
-               })
-      | Template.Skip { cond; dist; idx } ->
-          let lbl = Code_buffer.Internal t.next_internal in
-          t.next_internal <- t.next_internal + 1;
-          let d = eval dist in
-          append_instruction t
-            (Code_buffer.Branch_site
-               { mask = eval cond; lbl; idx = eval idx; x = 0 });
-          if d - 1 <= 0 then append_data t (Code_buffer.Label_def lbl)
-          else t.open_skips <- (ref (d - 1), lbl) :: t.open_skips
-      | Template.Case_load { reg; lbl; idx } ->
-          append_instruction t
-            (Code_buffer.Case_site
-               { reg = eval reg; lbl = Code_buffer.User (eval lbl); idx = eval idx })
-      | Template.Push { sym; value } -> push_token sym (eval value)
-      | Template.Ibm_length src ->
-          let v = eval src in
-          if v < 1 || v > 256 then
-            err "IBM_length: %d outside the machine's 1..256 range" v
-      | Template.Stmt_record src ->
-          t.stmt_records <-
-            (eval src, Code_buffer.n_instructions t.buf) :: t.stmt_records
-      | Template.List_request src -> t.list_requests <- eval src :: t.list_requests
-      | Template.Abort src ->
-          List.iter
-            (fun i -> append_instruction t (Code_buffer.Fixed i))
-            ((target t).Machine.Target.abort_insns ~errno:(eval src))
-      | Template.Common { ty; fp; cse; cnt; reg; dsp; base } ->
-          let id = eval cse and count = eval cnt and r = eval reg in
-          Cse.define t.cse ~id ~ty ~fp ~count ~reg:r ~temp_dsp:(eval dsp)
-            ~temp_base:(eval base);
-          let bank = if fp then Regalloc.Fp else Regalloc.Gp in
-          Regalloc.retain ~count t.regs bank r;
-          Regalloc.bind_cse ~shares:count t.regs bank r id
-      | Template.Find_common { cse; fp = _; push_sym } -> (
-          let id = eval cse in
-          match Cse.find t.cse id with
-          | None -> err "find_common: CSE %d was never defined" id
-          | Some entry ->
-              Cse.consume t.cse id;
-              (match entry.Cse.residence with
-              | Cse.In_reg r ->
-                  (* the reserved share becomes the stack reference the
-                     push below retains *)
-                  t.cse_hits <- t.cse_hits + 1;
-                  Regalloc.consume_cse_share t.regs
-                    (if entry.Cse.fp then Regalloc.Fp else Regalloc.Gp)
-                    r;
-                  push_token push_sym r
-              | Cse.In_mem -> (
-                  t.cse_reloads <- t.cse_reloads + 1;
-                  match entry.Cse.ty with
-                  | None ->
-                      err "find_common: CSE %d has no reload type operator" id
-                  | Some ty ->
-                      (* prefix the address of the temporary; the ordinary
-                         load productions bring it back *)
-                      pushed :=
-                        Driver.ptok ~value:(Ifl.Value.Reg entry.Cse.temp_base)
-                          t.reload_reg
-                        :: Driver.ptok ~value:(Ifl.Value.Int entry.Cse.temp_dsp)
-                             t.reload_dsp
-                        :: Driver.ptok ty
-                        :: !pushed))))
-    c.Template.c_steps;
+  let allocs = c.Template.c_allocs and needs = c.Template.c_needs in
+  let n_allocs = Array.length allocs in
+  if n_allocs > Array.length t.allocs then t.allocs <- Array.make n_allocs 0;
+  for i = 0 to n_allocs - 1 do
+    t.allocs.(i) <-
+      alloc_for t ~prod ~copy_on_write:false allocs.(i).Template.a_class
+  done;
+  for i = 0 to Array.length needs - 1 do
+    serve_need t ~prod ~remap needs.(i)
+  done;
+  (* 2./3. fill in required values while interpreting the template
+     sequence *)
+  t.n_pushed <- 0;
+  let steps = c.Template.c_steps in
+  for i = 0 to Array.length steps - 1 do
+    step t ~prod c rhs steps.(i)
+  done;
   (* 4. prefix LHS to input stream *)
   (match c.Template.c_push with
-  | Some { push_sym; push_src } -> push_token push_sym (eval push_src)
+  | Some { push_sym; push_src } ->
+      push t push_sym (Ifl.Value.Reg (eval t rhs push_src))
   | None ->
-      if p.Grammar.lhs = g.Grammar.lambda then
-        pushed := Driver.ptok g.Grammar.lambda :: !pushed);
-  let result = List.rev !pushed in
+      let g = t.tables.Tables.grammar in
+      if (Grammar.prod g prod).Grammar.lhs = g.Grammar.lambda then
+        push t g.Grammar.lambda Ifl.Value.Unit);
   (* 5. liveness: retain pushed registers, then release consumed RHS
      occurrences and the scratch allocations *)
-  List.iter
-    (fun (tok : Driver.ptoken) ->
-      match tok.Driver.pvalue with
-      | Ifl.Value.Reg r when tok.Driver.psym >= 0 ->
-          Regalloc.retain t.regs (bank_of_sym t tok.Driver.psym) r
-      | _ -> ())
-    result;
-  Array.iteri
-    (fun k (tok : Driver.ptoken) ->
-      match tok.Driver.pvalue with
-      | Ifl.Value.Reg r -> Regalloc.release t.regs (bank_of_sym t rhs_syms.(k)) r
-      | _ -> ())
-    rhs;
-  Array.iteri
-    (fun i (req : Template.alloc_req) ->
-      let bank = Regalloc.bank_of_class req.Template.a_class in
-      List.iter
-        (fun r -> Regalloc.release t.regs bank r)
-        (Regalloc.covered req.Template.a_class allocs.(i)))
-    c.Template.c_allocs;
-  Array.iter
-    (fun (req : Template.need_req) ->
-      Regalloc.release t.regs
-        (Regalloc.bank_of_class req.Template.n_class)
-        req.Template.n_reg)
-    c.Template.c_needs;
-  result
+  for i = 0 to t.n_pushed - 1 do
+    let tok = t.pushed.(i) in
+    match tok.Driver.pvalue with
+    | Ifl.Value.Reg r when tok.Driver.psym >= 0 ->
+        Regalloc.retain t.regs (bank_of_sym t tok.Driver.psym) r
+    | _ -> ()
+  done;
+  for k = 0 to Array.length rhs - 1 do
+    match rhs.(k).Driver.pvalue with
+    | Ifl.Value.Reg r ->
+        Regalloc.release t.regs (bank_of_sym t rhs.(k).Driver.psym) r
+    | _ -> ()
+  done;
+  for i = 0 to n_allocs - 1 do
+    Regalloc.release_allocation t.regs allocs.(i).Template.a_class t.allocs.(i)
+  done;
+  for i = 0 to Array.length needs - 1 do
+    let req = needs.(i) in
+    Regalloc.release t.regs
+      (Regalloc.bank_of_class req.Template.n_class)
+      req.Template.n_reg
+  done;
+  pushed_tokens t (t.n_pushed - 1) []
 
 (** Finish the module: resolve labels and branches and emit loader
     records. *)

@@ -59,8 +59,10 @@ type stats = {
   mutable n_allocs : int;
   mutable n_evictions : int;
   mutable n_transfers : int;
-  mutable reuse_distances : int list;
-      (** usage-index distance at allocation: the pipeline-contention proxy *)
+  mutable reuse_sum : int;
+      (** total usage-index distance at allocation, over every register
+          allocated: the pipeline-contention proxy *)
+  mutable reuse_count : int;  (** registers the distances were taken over *)
   mutable gp_peak : int;  (** most general registers ever busy at once *)
   mutable fp_peak : int;  (** most floating registers ever busy at once *)
 }
@@ -70,6 +72,10 @@ type t = {
   strategy : strategy;
   gprs : reg array;
   fprs : reg array;
+  gpr_pool : int array;
+  pair_pool : int array;
+  fpr_pool : int array;
+  fpair_pool : int array;
   mutable global_index : int;
   mutable cursor : int;
   stats : stats;
@@ -87,6 +93,10 @@ let create ?(config = default_config) ?(strategy = Lru) () =
     strategy;
     gprs = mk 16;
     fprs = mk 8;
+    gpr_pool = Array.of_list config.gpr_pool;
+    pair_pool = Array.of_list config.pair_pool;
+    fpr_pool = Array.of_list config.fpr_pool;
+    fpair_pool = Array.of_list config.fpair_pool;
     global_index = 0;
     cursor = 0;
     stats =
@@ -94,7 +104,8 @@ let create ?(config = default_config) ?(strategy = Lru) () =
         n_allocs = 0;
         n_evictions = 0;
         n_transfers = 0;
-        reuse_distances = [];
+        reuse_sum = 0;
+        reuse_count = 0;
         gp_peak = 0;
         fp_peak = 0;
       };
@@ -103,18 +114,19 @@ let create ?(config = default_config) ?(strategy = Lru) () =
 let regs t = function Gp -> t.gprs | Fp -> t.fprs
 
 let pool t = function
-  | Symtab.Gpr -> t.config.gpr_pool
-  | Symtab.Pair -> t.config.pair_pool
-  | Symtab.Fpr -> t.config.fpr_pool
-  | Symtab.Fpair -> t.config.fpair_pool
-  | Symtab.Cc | Symtab.Noclass -> []
+  | Symtab.Gpr -> t.gpr_pool
+  | Symtab.Pair -> t.pair_pool
+  | Symtab.Fpr -> t.fpr_pool
+  | Symtab.Fpair -> t.fpair_pool
+  | Symtab.Cc | Symtab.Noclass -> [||]
 
-(* registers covered by an allocation of class [cls] rooted at [r] *)
-let covered cls r =
-  match cls with
-  | Symtab.Pair -> [ r; r + 1 ]
-  | Symtab.Fpair -> [ r; r + 2 ]
-  | _ -> [ r ]
+(* An allocation of class [cls] rooted at [r] occupies [r] and, for the
+   pair classes, its partner [r + partner cls] (the odd register of a
+   pair, the high half of a quad); [partner] is 0 for single registers. *)
+let partner = function Symtab.Pair -> 1 | Symtab.Fpair -> 2 | _ -> 0
+
+(* the occupied registers as a list, for the pressure diagnostic *)
+let covered cls r = match partner cls with 0 -> [ r ] | p -> [ r; r + p ]
 
 let in_any_pool t bank r =
   match bank with
@@ -128,66 +140,190 @@ let in_any_pool t bank r =
 (** Bump the global usage index; called once per reduction. *)
 let begin_reduction t = t.global_index <- t.global_index + 1
 
-let free_for t bank cls r =
-  List.for_all (fun i -> not (regs t bank).(i).busy) (covered cls r)
+(* -- selection ----------------------------------------------------------------
+   Every predicate below reads the register file in place: one
+   allocation scans its class's pool array a bounded number of times and
+   allocates nothing but its result. *)
 
-(* candidate members of [cls]'s pool that are currently free *)
-let free_members t cls =
-  let bank = bank_of_class cls in
-  List.filter (free_for t bank cls) (pool t cls)
+(* [r] and its partner (pair step [p]) are both free *)
+let span_free (regs : reg array) r p =
+  (not regs.(r).busy) && (p = 0 || not regs.(r + p).busy)
 
-let pick t cls candidates =
-  let bank = bank_of_class cls in
-  match candidates with
-  | [] -> None
-  | cs -> (
-      match t.strategy with
-      | First_free -> Some (List.hd cs)
-      | Round_robin ->
-          let n = List.length cs in
-          let c = List.nth cs (t.cursor mod n) in
-          t.cursor <- t.cursor + 1;
-          Some c
-      | Lru ->
-          Some
-            (List.fold_left
-               (fun best r ->
-                 let idx =
-                   List.fold_left
-                     (fun m i -> max m (regs t bank).(i).usage_index)
-                     0 (covered cls r)
-                 in
-                 match best with
-                 | Some (_, bidx) when bidx <= idx -> best
-                 | _ -> Some (r, idx))
-               None cs
-            |> Option.get |> fst))
+(* [r] is one half of a fully free pair of [pairs] (partner step [step]) *)
+let breaks_free_pair regs (pairs : int array) step r =
+  let hit = ref false in
+  for i = 0 to Array.length pairs - 1 do
+    let e = pairs.(i) in
+    if (r = e || r = e + step) && span_free regs e step then hit := true
+  done;
+  !hit
+
+let free_pairs regs (pairs : int array) step =
+  let n = ref 0 in
+  for i = 0 to Array.length pairs - 1 do
+    if span_free regs pairs.(i) step then incr n
+  done;
+  !n
+
+(* free, or a CSE-bound register whose every reference is a reserved
+   share *)
+let takeable st =
+  (not st.busy) || (st.cse <> None && st.use_count <= st.cse_shares)
+
+(* the whole span can be taken by evicting the CSE(s) it holds *)
+let span_evictable regs r p =
+  takeable regs.(r)
+  && (p = 0 || takeable regs.(r + p))
+  && (regs.(r).cse <> None || (p > 0 && regs.(r + p).cse <> None))
+
+(* the pair class a single-register request of [cls] protects *)
+let protected_class = function
+  | Symtab.Gpr -> Symtab.Pair
+  | Symtab.Fpr -> Symtab.Fpair
+  | c -> c
+
+(* Which pool members a pick chooses among: the free ones; the free ones
+   that do not break up a fully free pair of the protected class; or,
+   once nothing is free, the ones held only by evictable CSEs. *)
+type choice = Free | Preserving | Evictable
+
+let candidate t regs cls choice r =
+  let p = partner cls in
+  match choice with
+  | Free -> span_free regs r p
+  | Preserving ->
+      let pcls = protected_class cls in
+      span_free regs r p
+      && not (breaks_free_pair regs (pool t pcls) (partner pcls) r)
+  | Evictable -> span_evictable regs r p
+
+(* single-register requests prefer registers that do not break up a fully
+   free even/odd pair, so multiplies and divides can still find one (Fpr
+   requests likewise protect quad pairs); only once such pairs become
+   scarce, so simple programs still see the natural r1, r2, ... order *)
+let choose t regs cls =
+  let pcls = protected_class cls in
+  match cls with
+  | Symtab.Gpr | Symtab.Fpr
+    when free_pairs regs (pool t pcls) (partner pcls) <= 2 ->
+    let pool = pool t cls and any = ref false in
+    for i = 0 to Array.length pool - 1 do
+      if candidate t regs cls Preserving pool.(i) then any := true
+    done;
+    if !any then Preserving else Free
+  | _ -> Free
+
+(* the LRU key of a span: its most recent use *)
+let last_use regs r p =
+  if p = 0 then regs.(r).usage_index
+  else max regs.(r).usage_index regs.(r + p).usage_index
+
+(* the strategy's pick among the candidates, in pool order; -1 if none *)
+let pick t regs cls choice =
+  let pool = pool t cls in
+  let n = Array.length pool in
+  match t.strategy with
+  | First_free ->
+      let found = ref (-1) and i = ref 0 in
+      while !found < 0 && !i < n do
+        if candidate t regs cls choice pool.(!i) then found := pool.(!i);
+        incr i
+      done;
+      !found
+  | Round_robin ->
+      let count = ref 0 in
+      for i = 0 to n - 1 do
+        if candidate t regs cls choice pool.(i) then incr count
+      done;
+      if !count = 0 then -1
+      else begin
+        let k = ref (t.cursor mod !count) and found = ref (-1) and i = ref 0 in
+        t.cursor <- t.cursor + 1;
+        while !found < 0 do
+          let r = pool.(!i) in
+          if candidate t regs cls choice r then
+            if !k = 0 then found := r else decr k;
+          incr i
+        done;
+        !found
+      end
+  | Lru ->
+      (* the first of the least recently used *)
+      let best = ref (-1) and best_use = ref 0 in
+      for i = 0 to n - 1 do
+        let r = pool.(i) in
+        if candidate t regs cls choice r then begin
+          let u = last_use regs r (partner cls) in
+          if !best < 0 || u < !best_use then begin
+            best := r;
+            best_use := u
+          end
+        end
+      done;
+      !best
 
 (* raise the bank's pressure high-water mark to the current busy count *)
 let note_peak t bank =
+  let regs = regs t bank in
   let n = ref 0 in
-  Array.iter (fun st -> if st.busy then incr n) (regs t bank);
+  for i = 0 to Array.length regs - 1 do
+    if regs.(i).busy then incr n
+  done;
   match bank with
   | Gp -> if !n > t.stats.gp_peak then t.stats.gp_peak <- !n
   | Fp -> if !n > t.stats.fp_peak then t.stats.fp_peak <- !n
 
+let claim t st =
+  t.stats.reuse_sum <- t.stats.reuse_sum + (t.global_index - st.usage_index);
+  t.stats.reuse_count <- t.stats.reuse_count + 1;
+  st.busy <- true;
+  st.use_count <- 1;
+  st.usage_index <- t.global_index;
+  st.cse <- None;
+  st.cse_shares <- 0
+
 let mark_allocated t cls r =
   let bank = bank_of_class cls in
-  List.iter
-    (fun i ->
-      let st = (regs t bank).(i) in
-      t.stats.reuse_distances <-
-        (t.global_index - st.usage_index) :: t.stats.reuse_distances;
-      st.busy <- true;
-      st.use_count <- 1;
-      st.usage_index <- t.global_index;
-      st.cse <- None;
-      st.cse_shares <- 0)
-    (covered cls r);
+  let regs = regs t bank and p = partner cls in
+  claim t regs.(r);
+  if p > 0 then claim t regs.(r + p);
   t.stats.n_allocs <- t.stats.n_allocs + 1;
   note_peak t bank
 
+let clear st =
+  st.busy <- false;
+  st.use_count <- 0;
+  st.cse <- None;
+  st.cse_shares <- 0
+
 type evicted = { ev_cse : int; ev_reg : int }
+
+(* diagnosable exhaustion: name the class, its pool, and what each member
+   is holding (use counts, CSE bindings); built only when raised *)
+let pressure_message t cls =
+  let regs = regs t (bank_of_class cls) in
+  let pool = Array.to_list (pool t cls) in
+  let members =
+    List.sort_uniq compare (List.concat_map (covered cls) pool)
+  in
+  let holding =
+    List.filter_map
+      (fun i ->
+        let st = regs.(i) in
+        if not st.busy then None
+        else
+          Some
+            (Fmt.str "r%d:uses=%d%s" i st.use_count
+               (match st.cse with
+               | Some c -> Fmt.str "[cse %d]" c
+               | None -> "")))
+      members
+  in
+  Fmt.str "no %a register available: pool {%s} holds only live values (%s)"
+    Symtab.pp_reg_class cls
+    (String.concat " "
+       (List.map (fun r -> "r" ^ string_of_int r) pool))
+    (String.concat ", " holding)
 
 (** [alloc t cls] returns an allocated register (the even one for pairs)
     and, when the pool was full, the CSE-bound register that was evicted
@@ -197,99 +333,27 @@ let alloc t (cls : Symtab.reg_class) : int * evicted option =
   match cls with
   | Symtab.Cc -> (0, None) (* the machine condition code: always available *)
   | Symtab.Noclass -> (0, None)
-  | _ -> (
-      (* single-register requests prefer registers that do not break up a
-         fully free even/odd pair, so multiplies and divides can still
-         find one (Fpr requests likewise protect quad pairs) *)
-      let free = free_members t cls in
-      let candidates =
-        let protect pair_pool step pcls =
-          let free_pairs =
-            List.filter (fun e -> free_for t (bank_of_class cls) pcls e) pair_pool
-          in
-          (* only protect pairs once they become scarce, so simple
-             programs still see the natural r1, r2, ... ordering *)
-          if List.length free_pairs > 2 then free
-          else
-            let breaking r =
-              List.exists (fun e -> r = e || r = e + step) free_pairs
-            in
-            let preserving = List.filter (fun r -> not (breaking r)) free in
-            if preserving <> [] then preserving else free
-        in
-        match cls with
-        | Symtab.Gpr -> protect t.config.pair_pool 1 Symtab.Pair
-        | Symtab.Fpr -> protect t.config.fpair_pool 2 Symtab.Fpair
-        | _ -> free
-      in
-      match pick t cls candidates with
-      | Some r ->
+  | _ ->
+      let regs = regs t (bank_of_class cls) in
+      let r = pick t regs cls (choose t regs cls) in
+      if r >= 0 then begin
+        mark_allocated t cls r;
+        (r, None)
+      end
+      else
+        (* evict the least-recently-used CSE-bound register in the pool *)
+        let r = pick t regs cls Evictable in
+        if r < 0 then raise (Pressure (pressure_message t cls))
+        else begin
+          let p = partner cls in
+          let i = if regs.(r).cse <> None then r else r + p in
+          let ev = { ev_cse = Option.get regs.(i).cse; ev_reg = i } in
+          clear regs.(r);
+          if p > 0 then clear regs.(r + p);
+          t.stats.n_evictions <- t.stats.n_evictions + 1;
           mark_allocated t cls r;
-          (r, None)
-      | None -> (
-          (* evict the least-recently-used CSE-bound register in the pool *)
-          let bank = bank_of_class cls in
-          let evictable r =
-            List.for_all
-              (fun i ->
-                let st = (regs t bank).(i) in
-                (not st.busy)
-                || (st.cse <> None && st.use_count <= st.cse_shares))
-              (covered cls r)
-            && List.exists
-                 (fun i -> (regs t bank).(i).cse <> None)
-                 (covered cls r)
-          in
-          match pick t cls (List.filter evictable (pool t cls)) with
-          | None ->
-              (* diagnosable exhaustion: name the class, its pool, and
-                 what each member is holding (use counts, CSE bindings) *)
-              let members =
-                List.sort_uniq compare
-                  (List.concat_map (covered cls) (pool t cls))
-              in
-              let holding =
-                List.filter_map
-                  (fun i ->
-                    let st = (regs t bank).(i) in
-                    if not st.busy then None
-                    else
-                      Some
-                        (Fmt.str "r%d:uses=%d%s" i st.use_count
-                           (match st.cse with
-                           | Some c -> Fmt.str "[cse %d]" c
-                           | None -> "")))
-                  members
-              in
-              raise
-                (Pressure
-                   (Fmt.str
-                      "no %a register available: pool {%s} holds only live \
-                       values (%s)"
-                      Symtab.pp_reg_class cls
-                      (String.concat " "
-                         (List.map (fun r -> "r" ^ string_of_int r) (pool t cls)))
-                      (String.concat ", " holding)))
-          | Some r ->
-              let ev =
-                List.find_map
-                  (fun i ->
-                    let st = (regs t bank).(i) in
-                    Option.map (fun c -> { ev_cse = c; ev_reg = i }) st.cse)
-                  (covered cls r)
-                |> Option.get
-              in
-              List.iter
-                (fun i ->
-                  let st = (regs t bank).(i) in
-                  st.busy <- false;
-                  st.use_count <- 0;
-                  st.cse <- None;
-                  st.cse_shares <- 0)
-                (covered cls r);
-              t.stats.n_evictions <- t.stats.n_evictions + 1;
-              mark_allocated t cls r;
-              (r, Some ev)))
+          (r, Some ev)
+        end
 
 type transfer = { tr_from : int; tr_to : int }
 
@@ -339,13 +403,15 @@ let release t bank r =
   let st = (regs t bank).(r) in
   if st.busy then begin
     st.use_count <- st.use_count - 1;
-    if st.use_count <= 0 then begin
-      st.busy <- false;
-      st.use_count <- 0;
-      st.cse <- None;
-      st.cse_shares <- 0
-    end
+    if st.use_count <= 0 then clear st
   end
+
+(** Release every register an allocation of class [cls] rooted at [r]
+    occupies (both halves of a pair). *)
+let release_allocation t cls r =
+  let bank = bank_of_class cls in
+  release t bank r;
+  match partner cls with 0 -> () | p -> release t bank (r + p)
 
 (** One reserved CSE use materializes (a [find_common] found the value in
     the register): the share converts into the stack reference the caller

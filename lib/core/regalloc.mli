@@ -39,9 +39,13 @@ type stats = {
   mutable n_allocs : int;
   mutable n_evictions : int;
   mutable n_transfers : int;
-  mutable reuse_distances : int list;
-      (** usage-index distance at allocation: the pipeline-contention
-          proxy of the ablation benchmark *)
+  mutable reuse_sum : int;
+      (** total usage-index distance at allocation, over every register
+          allocated: the pipeline-contention proxy of the ablation
+          benchmark *)
+  mutable reuse_count : int;
+      (** registers allocated; the mean reuse distance is
+          [reuse_sum / reuse_count] *)
   mutable gp_peak : int;  (** most general registers ever busy at once *)
   mutable fp_peak : int;  (** most floating registers ever busy at once *)
 }
@@ -51,6 +55,10 @@ type t = private {
   strategy : strategy;
   gprs : reg array;
   fprs : reg array;
+  gpr_pool : int array;  (** [config]'s pools, scanned in place *)
+  pair_pool : int array;
+  fpr_pool : int array;
+  fpair_pool : int array;
   mutable global_index : int;
   mutable cursor : int;
   stats : stats;
@@ -69,9 +77,6 @@ exception Pressure of string
 
 val create : ?config:config -> ?strategy:strategy -> unit -> t
 
-val covered : Symtab.reg_class -> int -> int list
-(** The physical registers an allocation of this class occupies. *)
-
 val begin_reduction : t -> unit
 (** Bump the global usage index; called once per reduction. *)
 
@@ -82,7 +87,9 @@ val alloc : t -> Symtab.reg_class -> int * evicted option
     and, when the pool was full, the CSE-bound register that was evicted
     to make room — the caller must store that register to the CSE's
     temporary before using the allocation.  Raises {!Pressure} when
-    every register holds a live value. *)
+    every register holds a live value.  The pick scans the class's pool
+    in place and allocates nothing but the result; the {!Pressure}
+    message is built only when raised. *)
 
 type transfer = { tr_from : int; tr_to : int }
 
@@ -99,6 +106,10 @@ val retain : ?count:int -> t -> bank -> int -> unit
 val release : t -> bank -> int -> unit
 (** Decrement the use count; at zero the register is freed.  A no-op on
     dedicated (never-allocated) registers. *)
+
+val release_allocation : t -> Symtab.reg_class -> int -> unit
+(** [release_allocation t cls r] releases every register an allocation
+    of class [cls] rooted at [r] occupies (both halves of a pair). *)
 
 val consume_cse_share : t -> bank -> int -> unit
 (** One reserved CSE use materializes: the share converts into the stack

@@ -38,8 +38,4 @@ let is_user_prod t p = p < t.n_user_prods
 let compiled t p =
   if p < Array.length t.compiled then t.compiled.(p) else None
 
-(** Register bank a grammar symbol's values live in. *)
-let bank_of t sym : Regalloc.bank option =
-  Option.map Regalloc.bank_of_class (class_of t sym)
-
 let conflicts t = t.parse.Parse_table.conflicts

@@ -58,51 +58,63 @@ let validate ~(mnem : string) ~(nsubs : int list) : (unit, string) result =
             fail "%s: second operand takes at most d(b)" mnem
           else Ok ())
 
-let build_insn ~(mnem : string) (vals : (int * int list) list) :
-    (Insn.t, string) result =
-  (* vals: per operand, (base value, sub values) *)
-  let fail fmt = Fmt.kstr (fun m -> Error m) fmt in
-  match Insn.format_of_mnemonic mnem with
-  | None -> fail "unknown mnemonic %s at emission" mnem
-  | Some fmt -> (
-      let plain k =
-        match List.nth_opt vals k with
-        | Some (v, []) -> v
-        | _ ->
-            Fmt.failwith "%s: operand %d shape mismatch at emission" mnem (k + 1)
-      in
-      let memop k =
-        match List.nth_opt vals k with
-        | Some (d, []) -> (d, 0, 0)
-        | Some (d, [ b ]) -> (d, 0, b)
-        | Some (d, [ x; b ]) -> (d, x, b)
-        | _ -> Fmt.failwith "%s: missing storage operand" mnem
-      in
+(* operand accessors for [build_insn]; a shape the format does not take
+   raises [Failure] with the message the caller reports *)
+module Ops = Target.Operands
+
+let plain mnem ops k =
+  if k < Ops.count ops && Ops.nsubs ops k = 0 then Ops.base ops k
+  else Fmt.failwith "%s: operand %d shape mismatch at emission" mnem (k + 1)
+
+(* a storage operand d, d(b) or d(x,b): check it, then read its parts *)
+let memop mnem ops k =
+  if k >= Ops.count ops || Ops.nsubs ops k > 2 then
+    Fmt.failwith "%s: missing storage operand" mnem
+
+let mem_x ops k = if Ops.nsubs ops k = 2 then Ops.sub ops k 0 else 0
+
+let mem_b ops k =
+  match Ops.nsubs ops k with 0 -> 0 | 1 -> Ops.sub ops k 0 | _ -> Ops.sub ops k 1
+
+let build_insn ~(mnem : string) (ops : Ops.t) : (Insn.t, string) result =
+  match Hashtbl.find Insn.opcode_of_mnemonic mnem with
+  | exception Not_found -> Error (Fmt.str "unknown mnemonic %s at emission" mnem)
+  | _, fmt -> (
       try
         Ok
           (match fmt with
-          | Insn.RR -> Insn.Rr { op = mnem; r1 = plain 0; r2 = plain 1 }
+          | Insn.RR ->
+              Insn.Rr { op = mnem; r1 = plain mnem ops 0; r2 = plain mnem ops 1 }
           | Insn.RX ->
-              let d2, x2, b2 = memop 1 in
-              Insn.Rx { op = mnem; r1 = plain 0; d2; x2; b2 }
+              memop mnem ops 1;
+              Insn.Rx
+                { op = mnem; r1 = plain mnem ops 0; d2 = Ops.base ops 1;
+                  x2 = mem_x ops 1; b2 = mem_b ops 1 }
           | Insn.RS ->
-              if is_shift mnem then
-                let d2, _, b2 = memop 1 in
-                Insn.Rs { op = mnem; r1 = plain 0; r3 = 0; d2; b2 }
-              else
-                let d2, _, b2 = memop 2 in
-                Insn.Rs { op = mnem; r1 = plain 0; r3 = plain 1; d2; b2 }
+              if is_shift mnem then begin
+                memop mnem ops 1;
+                Insn.Rs
+                  { op = mnem; r1 = plain mnem ops 0; r3 = 0;
+                    d2 = Ops.base ops 1; b2 = mem_b ops 1 }
+              end
+              else begin
+                memop mnem ops 2;
+                Insn.Rs
+                  { op = mnem; r1 = plain mnem ops 0; r3 = plain mnem ops 1;
+                    d2 = Ops.base ops 2; b2 = mem_b ops 2 }
+              end
           | Insn.SI ->
-              let d1, _, b1 = memop 0 in
-              Insn.Si { op = mnem; d1; b1; i2 = plain 1 }
+              memop mnem ops 0;
+              Insn.Si
+                { op = mnem; d1 = Ops.base ops 0; b1 = mem_b ops 0;
+                  i2 = plain mnem ops 1 }
           | Insn.SS ->
-              let l, d1, b1 =
-                match List.nth_opt vals 0 with
-                | Some (d, [ l; b ]) -> (l, d, b)
-                | _ -> Fmt.failwith "%s: first operand must be d(l,b)" mnem
-              in
-              let d2, _, b2 = memop 1 in
-              Insn.Ss { op = mnem; l; d1; b1; d2; b2 })
+              if Ops.count ops = 0 || Ops.nsubs ops 0 <> 2 then
+                Fmt.failwith "%s: first operand must be d(l,b)" mnem;
+              memop mnem ops 1;
+              Insn.Ss
+                { op = mnem; l = Ops.sub ops 0 0; d1 = Ops.base ops 0;
+                  b1 = Ops.sub ops 0 1; d2 = Ops.base ops 1; b2 = mem_b ops 1 })
       with Failure m -> Error m)
 
 let spill_store ~fp ~reg ~dsp ~base =

@@ -249,36 +249,41 @@ let validate ~(mnem : string) ~(nsubs : int list) : (unit, string) result =
       fail "%s: pc-relative branches are written with the branch/skip semops"
         mnem
 
-let build_insn ~(mnem : string) (vals : (int * int list) list) :
-    (Insn.t, string) result =
-  let fail fmt = Fmt.kstr (fun m -> Error m) fmt in
-  let plain k =
-    match List.nth_opt vals k with
-    | Some (v, []) -> v
-    | _ -> Fmt.failwith "%s: operand %d shape mismatch at emission" mnem (k + 1)
-  in
-  match Insn.r32_format_of_mnemonic mnem with
-  | None -> fail "unknown mnemonic %s at emission" mnem
-  | Some f -> (
+module Ops = Target.Operands
+
+let plain mnem ops k =
+  if k < Ops.count ops && Ops.nsubs ops k = 0 then Ops.base ops k
+  else Fmt.failwith "%s: operand %d shape mismatch at emission" mnem (k + 1)
+
+let build_insn ~(mnem : string) (ops : Ops.t) : (Insn.t, string) result =
+  match Hashtbl.find Insn.r32_opcode_of_mnemonic mnem with
+  | exception Not_found -> Error (Fmt.str "unknown mnemonic %s at emission" mnem)
+  | _, f -> (
       try
         Ok
           (match f with
           | Insn.F_r3 ->
-              Insn.R3 { op = mnem; rd = plain 0; rs1 = plain 1; rs2 = plain 2 }
+              Insn.R3
+                { op = mnem; rd = plain mnem ops 0; rs1 = plain mnem ops 1;
+                  rs2 = plain mnem ops 2 }
           | Insn.F_r2 ->
-              if mnem = "jr" then Insn.R2 { op = mnem; rd = 0; rs = plain 0 }
-              else Insn.R2 { op = mnem; rd = plain 0; rs = plain 1 }
+              if mnem = "jr" then
+                Insn.R2 { op = mnem; rd = 0; rs = plain mnem ops 0 }
+              else
+                Insn.R2 { op = mnem; rd = plain mnem ops 0; rs = plain mnem ops 1 }
           | Insn.F_ri ->
-              Insn.Ri { op = mnem; rd = plain 0; rs = plain 1; imm = plain 2 }
-          | Insn.F_li -> Insn.Li { op = mnem; rd = plain 0; imm = plain 1 }
+              Insn.Ri
+                { op = mnem; rd = plain mnem ops 0; rs = plain mnem ops 1;
+                  imm = plain mnem ops 2 }
+          | Insn.F_li ->
+              Insn.Li { op = mnem; rd = plain mnem ops 0; imm = plain mnem ops 1 }
           | Insn.F_mem ->
-              let dsp, rb =
-                match List.nth_opt vals 1 with
-                | Some (d, []) -> (d, 0)
-                | Some (d, [ b ]) -> (d, b)
-                | _ -> Fmt.failwith "%s: missing storage operand" mnem
-              in
-              Insn.Mem { op = mnem; rd = plain 0; dsp; rb }
+              (* dsp or dsp(rb) *)
+              if Ops.count ops < 2 || Ops.nsubs ops 1 > 1 then
+                Fmt.failwith "%s: missing storage operand" mnem;
+              Insn.Mem
+                { op = mnem; rd = plain mnem ops 0; dsp = Ops.base ops 1;
+                  rb = (if Ops.nsubs ops 1 = 1 then Ops.sub ops 1 0 else 0) }
           | Insn.F_bcc ->
               Fmt.failwith "%s: branches are emitted via branch sites" mnem)
       with Failure m -> Error m)

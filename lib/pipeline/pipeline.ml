@@ -336,7 +336,9 @@ module Batch = struct
       [tables].  With a pool the jobs fan out across its domains; without
       one (or with a pool of size 1) the batch runs sequentially on the
       calling domain.  The result array is indexed like [jobs] either
-      way. *)
+      way.  A job whose compile raises becomes
+      [Error ("internal: " ^ exn)] for that job only, as in the daemon:
+      one crash fails one job, not the batch. *)
   let compile_all ?pool ?cse ?checks ?strategy ?explain
       (tables : Cogg.Tables.t) (jobs : job array) : result_t array =
     Cogg.Pool.maybe pool
@@ -346,7 +348,8 @@ module Batch = struct
            region has joined *)
         Cogg.Trace.with_span ~cat:"batch" ~args:[ ("program", j.name) ]
           "compile" (fun () ->
-            compile ?cse ?checks ?strategy ?explain tables j.source))
+            try compile ?cse ?checks ?strategy ?explain tables j.source
+            with e -> Error ("internal: " ^ Printexc.to_string e)))
       jobs
 
   (** Object-code bytes of a successful compile — the determinism suite's

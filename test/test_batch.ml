@@ -83,6 +83,87 @@ let test_errors_land_in_place () =
   Alcotest.(check bool) "good jobs compiled" true (Result.is_ok seq.(0));
   Alcotest.(check bool) "bad jobs failed" true (Result.is_error seq.(1))
 
+let test_raising_job_fails_alone () =
+  (* a compile that raises must fail its own job and leave every other
+     job's result as it would have been: corrupt the template of a
+     production only the victim program reduces, so that reducing it
+     indexes past the popped right-hand side *)
+  let t = tables () in
+  let prods src =
+    let seen = Hashtbl.create 64 in
+    (match
+       Pipeline.compile ~on_reduce:(fun p -> Hashtbl.replace seen p ()) t src
+     with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m);
+    seen
+  in
+  let good = prods Pipeline.Programs.gcd
+  and victim = prods Pipeline.Programs.sieve in
+  let only_victim =
+    Hashtbl.fold
+      (fun p () acc -> if Hashtbl.mem good p then acc else p :: acc)
+      victim []
+  in
+  Alcotest.(check bool) "sieve reduces a production gcd does not" true
+    (only_victim <> []);
+  let target = List.fold_left min max_int only_victim in
+  let broken =
+    {
+      t with
+      Cogg.Tables.compiled =
+        Array.mapi
+          (fun p c ->
+            match c with
+            | Some c when p = target ->
+                Some
+                  {
+                    c with
+                    Cogg.Template.c_steps =
+                      [| Cogg.Template.Label_location (Cogg.Template.Stack 99) |];
+                  }
+            | c -> c)
+          t.Cogg.Tables.compiled;
+    }
+  in
+  let batch =
+    [|
+      { Pipeline.Batch.name = "gcd0"; source = Pipeline.Programs.gcd };
+      { Pipeline.Batch.name = "sieve"; source = Pipeline.Programs.sieve };
+      { Pipeline.Batch.name = "gcd2"; source = Pipeline.Programs.gcd };
+      { Pipeline.Batch.name = "bad3"; source = "not pascal at all" };
+    |]
+  in
+  let clean = Pipeline.Batch.compile_all t batch in
+  let check label (results : Pipeline.Batch.result_t array) =
+    (match results.(1) with
+    | Error m ->
+        Alcotest.(check string)
+          (label ^ ": the raising job is an internal error")
+          ("internal: " ^ Printexc.to_string (Invalid_argument "index out of bounds"))
+          m
+    | Ok _ -> Alcotest.failf "%s: the raising job compiled" label);
+    List.iter
+      (fun i ->
+        match (clean.(i), results.(i)) with
+        | Ok a, Ok b ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s: job %d listing" label i)
+              a.Pipeline.gen.Cogg.Codegen.listing
+              b.Pipeline.gen.Cogg.Codegen.listing;
+            Alcotest.(check string)
+              (Printf.sprintf "%s: job %d object bytes" label i)
+              (Pipeline.Batch.code_bytes a)
+              (Pipeline.Batch.code_bytes b)
+        | Error a, Error b ->
+            Alcotest.(check string) (Printf.sprintf "%s: job %d error" label i) a b
+        | _ -> Alcotest.failf "%s: job %d changed outcome" label i)
+      [ 0; 2; 3 ]
+  in
+  check "sequential" (Pipeline.Batch.compile_all broken batch);
+  Cogg.Pool.with_pool ~domains:(jobs ()) (fun pool ->
+      check "parallel" (Pipeline.Batch.compile_all ~pool broken batch))
+
 (* ------------------------------------------------------------------ *)
 (* Table construction                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -187,5 +268,7 @@ let () =
           Alcotest.test_case "table build bytes identical" `Quick
             test_table_build_bytes_identical;
           QCheck_alcotest.to_alcotest prop_random_batches;
+          Alcotest.test_case "a raising job fails alone" `Quick
+            test_raising_job_fails_alone;
         ] );
     ]

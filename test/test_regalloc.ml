@@ -275,6 +275,252 @@ let test_fpr_bank_independent () =
   R.release t R.Fp f;
   Alcotest.(check bool) "gpr untouched by fpr release" true (R.is_busy t R.Gp g)
 
+(* -- equivalence with the list-based selector ---------------------------- *)
+
+(* A reference copy of the allocator's selection as it was written before
+   it scanned the pool in place: candidate lists, pair protection by
+   list filtering, a fold for LRU.  [ref_alloc] predicts, without
+   touching the register file, what [R.alloc] must do from the current
+   state: the register and eviction it picks (or the exact pressure
+   message), the round-robin cursor afterwards, and which rule decided. *)
+module Ref = struct
+  let covered cls r =
+    match cls with S.Pair -> [ r; r + 1 ] | S.Fpair -> [ r; r + 2 ] | _ -> [ r ]
+
+  let regs (t : R.t) = function R.Gp -> t.R.gprs | R.Fp -> t.R.fprs
+
+  let pool (t : R.t) = function
+    | S.Gpr -> t.R.config.R.gpr_pool
+    | S.Pair -> t.R.config.R.pair_pool
+    | S.Fpr -> t.R.config.R.fpr_pool
+    | S.Fpair -> t.R.config.R.fpair_pool
+    | S.Cc | S.Noclass -> []
+
+  let free_for t bank cls r =
+    List.for_all (fun i -> not (regs t bank).(i).R.busy) (covered cls r)
+
+  (* the pick and the cursor after it *)
+  let pick (t : R.t) cursor cls = function
+    | [] -> (None, cursor)
+    | cs -> (
+        let bank = R.bank_of_class cls in
+        match t.R.strategy with
+        | R.First_free -> (Some (List.hd cs), cursor)
+        | R.Round_robin ->
+            (Some (List.nth cs (cursor mod List.length cs)), cursor + 1)
+        | R.Lru ->
+            ( Some
+                (List.fold_left
+                   (fun best r ->
+                     let idx =
+                       List.fold_left
+                         (fun m i -> max m (regs t bank).(i).R.usage_index)
+                         0 (covered cls r)
+                     in
+                     match best with
+                     | Some (_, bidx) when bidx <= idx -> best
+                     | _ -> Some (r, idx))
+                   None cs
+                |> Option.get |> fst),
+              cursor ))
+
+  let pressure t cls =
+    let bank = R.bank_of_class cls in
+    let members =
+      List.sort_uniq compare (List.concat_map (covered cls) (pool t cls))
+    in
+    let holding =
+      List.filter_map
+        (fun i ->
+          let st = (regs t bank).(i) in
+          if not st.R.busy then None
+          else
+            Some
+              (Fmt.str "r%d:uses=%d%s" i st.R.use_count
+                 (match st.R.cse with
+                 | Some c -> Fmt.str "[cse %d]" c
+                 | None -> "")))
+        members
+    in
+    Fmt.str "no %a register available: pool {%s} holds only live values (%s)"
+      S.pp_reg_class cls
+      (String.concat " " (List.map (fun r -> "r" ^ string_of_int r) (pool t cls)))
+      (String.concat ", " holding)
+
+  type rule = Free | Protected | Unprotected | Evicted | Pressure
+
+  let alloc (t : R.t) cls :
+      ((int * (int * int) option, string) result * int) * rule =
+    let bank = R.bank_of_class cls in
+    let free = List.filter (free_for t bank cls) (pool t cls) in
+    let candidates, rule =
+      let protect pair_pool step pcls =
+        let free_pairs = List.filter (fun e -> free_for t bank pcls e) pair_pool in
+        if List.length free_pairs > 2 then (free, Free)
+        else
+          let breaking r = List.exists (fun e -> r = e || r = e + step) free_pairs in
+          let preserving = List.filter (fun r -> not (breaking r)) free in
+          if preserving <> [] then (preserving, Protected) else (free, Unprotected)
+      in
+      match cls with
+      | S.Gpr -> protect t.R.config.R.pair_pool 1 S.Pair
+      | S.Fpr -> protect t.R.config.R.fpair_pool 2 S.Fpair
+      | _ -> (free, Free)
+    in
+    match pick t t.R.cursor cls candidates with
+    | Some r, cursor -> ((Ok (r, None), cursor), rule)
+    | None, cursor -> (
+        let evictable r =
+          List.for_all
+            (fun i ->
+              let st = (regs t bank).(i) in
+              (not st.R.busy) || (st.R.cse <> None && st.R.use_count <= st.R.cse_shares))
+            (covered cls r)
+          && List.exists (fun i -> (regs t bank).(i).R.cse <> None) (covered cls r)
+        in
+        match pick t cursor cls (List.filter evictable (pool t cls)) with
+        | None, cursor -> ((Error (pressure t cls), cursor), Pressure)
+        | Some r, cursor ->
+            let ev =
+              List.find_map
+                (fun i -> Option.map (fun c -> (c, i)) (regs t bank).(i).R.cse)
+                (covered cls r)
+            in
+            ((Ok (r, ev), cursor), Evicted))
+end
+
+let classes = [| S.Gpr; S.Pair; S.Fpr; S.Fpair |]
+
+(* Seeded random walks over the register file: allocations of every
+   class, releases, CSE bindings whose only references are shares (so
+   they become evictable), share consumption, [modifies] touches and
+   reduction boundaries.  Before every allocation the reference predicts
+   the outcome, and the allocator must match it exactly. *)
+let test_selector_matches_reference () =
+  let rules = Hashtbl.create 8 in
+  List.iter
+    (fun strategy ->
+      for seed = 1 to 60 do
+        let rng = Random.State.make [| seed; 7919 |] in
+        let t = R.create ~strategy () in
+        let held = ref [] (* (class, root) of live allocations *) in
+        let next_cse = ref 0 in
+        let pick_held () = List.nth !held (Random.State.int rng (List.length !held)) in
+        let drop (cls, r) =
+          held := List.filter (fun h -> h <> (cls, r)) !held;
+          R.release_allocation t cls r
+        in
+        for _ = 1 to 120 do
+          match Random.State.int rng 20 with
+          | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 -> (
+              let cls = classes.(Random.State.int rng (Array.length classes)) in
+              let (expected, cursor), rule = Ref.alloc t cls in
+              Hashtbl.replace rules rule ();
+              let label =
+                Fmt.str "%s seed %d %a" (R.strategy_name strategy) seed
+                  S.pp_reg_class cls
+              in
+              let actual =
+                match R.alloc t cls with
+                | res -> Ok res
+                | exception R.Pressure m -> Error m
+              in
+              (match (expected, actual) with
+              | Ok (r, ev), Ok (r', ev') ->
+                  check_int (label ^ ": register") r r';
+                  Alcotest.(check (option (pair int int)))
+                    (label ^ ": eviction") ev
+                    (Option.map (fun e -> (e.R.ev_cse, e.R.ev_reg)) ev');
+                  (* an evicted CSE's holder is no longer live here *)
+                  (match ev with
+                  | Some (_, i) ->
+                      held :=
+                        List.filter
+                          (fun (c, root) ->
+                            not (List.mem i (Ref.covered c root)))
+                          !held
+                  | None -> ());
+                  held := (cls, r) :: !held
+              | Error m, Error m' ->
+                  Alcotest.(check string) (label ^ ": pressure text") m m'
+              | Error m, Ok _ -> Alcotest.failf "%s: expected pressure: %s" label m
+              | Ok _, Error m -> Alcotest.failf "%s: unexpected pressure: %s" label m);
+              check_int (label ^ ": cursor") cursor t.R.cursor)
+          | 8 | 9 | 10 | 11 -> if !held <> [] then drop (pick_held ())
+          | 12 | 13 ->
+              (* bind a CSE whose remaining references are all shares *)
+              if !held <> [] then begin
+                let cls, r = pick_held () in
+                let bank = R.bank_of_class cls in
+                let shares = 1 + Random.State.int rng 2 in
+                incr next_cse;
+                R.retain ~count:shares t bank r;
+                R.bind_cse ~shares t bank r !next_cse;
+                R.release t bank r;
+                held := List.filter (fun h -> h <> (cls, r)) !held
+              end
+          | 14 | 15 -> for _ = 0 to Random.State.int rng 3 do R.begin_reduction t done
+          | 16 ->
+              let bank = if Random.State.bool rng then R.Gp else R.Fp in
+              List.iter (R.consume_cse_share t bank) (R.busy_list t bank)
+          | 17 ->
+              let bank = if Random.State.bool rng then R.Gp else R.Fp in
+              (match R.busy_list t bank with
+              | r :: _ -> R.drop_cse_shares t bank r
+              | [] -> ())
+          | 18 ->
+              if !held <> [] then begin
+                let cls, r = pick_held () in
+                ignore (R.touch t (R.bank_of_class cls) r)
+              end
+          | _ -> (
+              (* exhaust: allocate until pressure, which must carry the
+                 reference's exact message *)
+              let cls = classes.(Random.State.int rng (Array.length classes)) in
+              let (expected, _), rule = Ref.alloc t cls in
+              match expected with
+              | Error m -> (
+                  Hashtbl.replace rules rule ();
+                  match R.alloc t cls with
+                  | exception R.Pressure m' ->
+                      Alcotest.(check string) "pressure text" m m'
+                  | _ -> Alcotest.fail "expected pressure")
+              | Ok _ -> ())
+        done
+      done)
+    [ R.Lru; R.Round_robin; R.First_free ];
+  List.iter
+    (fun (rule, name) ->
+      Alcotest.(check bool) ("walks reach the " ^ name ^ " rule") true
+        (Hashtbl.mem rules rule))
+    Ref.
+      [
+        (Free, "free");
+        (Protected, "pair-protection");
+        (Unprotected, "unprotected fallback");
+        (Evicted, "eviction");
+        (Pressure, "pressure");
+      ]
+
+(* the whole Emit-level pressure diagnostic, byte for byte *)
+let test_emit_pressure_text_exact () =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "store word d:0 ";
+  for i = 1 to 12 do
+    Buffer.add_string b (Printf.sprintf "iadd word d:%d " (4 * i))
+  done;
+  Buffer.add_string b "word d:52";
+  match Cogg.Codegen.generate_string (Lazy.force intro) (Buffer.contents b) with
+  | Ok _ -> Alcotest.fail "expected register pressure"
+  | Error m ->
+      Alcotest.(check string) "pressure text"
+        "code emission failed: no gpr register available: pool {r1 r2 r3 r4 \
+         r5 r6 r7 r8 r9 r11} holds only live values (r1:uses=1, r2:uses=1, \
+         r3:uses=1, r4:uses=1, r5:uses=1, r6:uses=1, r7:uses=1, r8:uses=1, \
+         r9:uses=1, r11:uses=1) — while serving 'using gpr' of production 0 \
+         (r ::= word d)"
+        m
+
 let () =
   Alcotest.run "regalloc"
     [
@@ -307,5 +553,12 @@ let () =
           Alcotest.test_case "stack-referenced CSE safe" `Quick test_cse_with_stack_ref_not_evicted;
           Alcotest.test_case "share consumption" `Quick test_consume_share;
           Alcotest.test_case "touch reports binding" `Quick test_touch_reports_cse;
+          Alcotest.test_case "pressure text is exact" `Quick
+            test_emit_pressure_text_exact;
+        ] );
+      ( "selector",
+        [
+          Alcotest.test_case "matches the list-based reference" `Quick
+            test_selector_matches_reference;
         ] );
     ]

@@ -132,6 +132,38 @@ let test_spans_balanced_and_nested () =
       Alcotest.(check bool) "spans feed phase.*.us counters" true
         (List.mem_assoc "phase.codegen.us" (Cogg.Metrics.snapshot ())))
 
+(* Codegen.generate splits its span into the benchmark's layer names:
+   the parse with its emission callbacks, label resolution, listing. *)
+let test_codegen_layer_spans () =
+  let t = tables () in
+  with_observability ~metrics:true ~trace:true (fun () ->
+      (match Pipeline.compile t Pipeline.Programs.gcd with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail m);
+      let events = Cogg.Trace.events () in
+      let codegen = find_event events "codegen" in
+      let layers = [ "driver"; "loader"; "listing" ] in
+      let spans = List.map (find_event events) layers in
+      List.iter2
+        (fun name (e : Cogg.Trace.event) ->
+          Alcotest.(check string) (name ^ " category") "codegen" e.Cogg.Trace.ev_cat;
+          Alcotest.(check bool) (name ^ " nested inside codegen") true
+            (e.Cogg.Trace.ev_ts >= codegen.Cogg.Trace.ev_ts -. 0.5
+            && e.Cogg.Trace.ev_ts +. e.Cogg.Trace.ev_dur
+               <= codegen.Cogg.Trace.ev_ts +. codegen.Cogg.Trace.ev_dur +. 0.5);
+          Alcotest.(check bool) (name ^ " feeds its phase counter") true
+            (List.mem_assoc ("phase." ^ name ^ ".us") (Cogg.Metrics.snapshot ())))
+        layers spans;
+      (* in pipeline order, one after the other *)
+      let rec ordered = function
+        | (a : Cogg.Trace.event) :: (b :: _ as rest) ->
+            Alcotest.(check bool) "layer spans run in order" true
+              (a.Cogg.Trace.ev_ts +. a.Cogg.Trace.ev_dur <= b.Cogg.Trace.ev_ts +. 0.5);
+            ordered rest
+        | _ -> ()
+      in
+      ordered spans)
+
 (* A miniature JSON reader, enough to validate what Trace.to_json_string
    writes (objects, arrays, strings with escapes, numbers, literals).
    Raises [Exit] on the first malformed byte. *)
@@ -290,6 +322,8 @@ let () =
           Alcotest.test_case "spans balanced and nested" `Quick
             test_spans_balanced_and_nested;
           Alcotest.test_case "JSON well-formed" `Quick test_json_well_formed;
+          Alcotest.test_case "codegen spans named like the bench layers" `Quick
+            test_codegen_layer_spans;
         ] );
       ( "explain",
         [
