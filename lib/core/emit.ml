@@ -200,6 +200,14 @@ let save_cse t (ev : Regalloc.evicted) =
               ~base:entry.Cse.temp_base));
       Cse.to_memory t.cse entry.Cse.id
 
+(* save every CSE an allocation evicted (a direct loop: no closure on the
+   allocation path) *)
+let rec save_evicted t = function
+  | [] -> ()
+  | ev :: evs ->
+      save_cse t ev;
+      save_evicted t evs
+
 (* -- register requests ------------------------------------------------------ *)
 
 (* the production responsible for everything a reduction emits; the
@@ -215,12 +223,12 @@ let pressure_failure m =
 
 (* allocation with diagnosable failure: re-raise Pressure enriched with
    the directive and production that triggered the exhaustion (the
-   message is built only then); an evicted CSE is saved before the
+   message is built only then); every evicted CSE is saved before the
    register is handed out *)
 let alloc_for t ~prod ~copy_on_write cls =
   match Regalloc.alloc t.regs cls with
   | reg, evicted ->
-      (match evicted with Some ev -> save_cse t ev | None -> ());
+      save_evicted t evicted;
       reg
   | exception Regalloc.Pressure m ->
       let directive =
@@ -245,7 +253,7 @@ let serve_need t ~prod ~remap (req : Template.need_req) =
       pressure_failure m;
       err "%s" m
   | Ok (transfer, evicted) -> (
-      (match evicted with Some ev -> save_cse t ev | None -> ());
+      save_evicted t evicted;
       match transfer with
       | None -> ()
       | Some tr ->

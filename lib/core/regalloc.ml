@@ -325,34 +325,42 @@ let pressure_message t cls =
        (List.map (fun r -> "r" ^ string_of_int r) pool))
     (String.concat ", " holding)
 
+(* the CSE register [i] holds, if any, consed onto [rest] *)
+let held_cse regs i rest =
+  match regs.(i).cse with
+  | Some c -> { ev_cse = c; ev_reg = i } :: rest
+  | None -> rest
+
 (** [alloc t cls] returns an allocated register (the even one for pairs)
-    and, when the pool was full, the CSE-bound register that was evicted
-    to make room — the caller must store that register to the CSE's
-    temporary before using the allocation. *)
-let alloc t (cls : Symtab.reg_class) : int * evicted option =
+    and, when the pool was full, every CSE-bound register that was
+    evicted to make room (both halves of a pair may hold one) — the
+    caller must store each to its CSE's temporary before using the
+    allocation. *)
+let alloc t (cls : Symtab.reg_class) : int * evicted list =
   match cls with
-  | Symtab.Cc -> (0, None) (* the machine condition code: always available *)
-  | Symtab.Noclass -> (0, None)
+  | Symtab.Cc -> (0, []) (* the machine condition code: always available *)
+  | Symtab.Noclass -> (0, [])
   | _ ->
       let regs = regs t (bank_of_class cls) in
       let r = pick t regs cls (choose t regs cls) in
       if r >= 0 then begin
         mark_allocated t cls r;
-        (r, None)
+        (r, [])
       end
       else
-        (* evict the least-recently-used CSE-bound register in the pool *)
+        (* evict the least-recently-used CSE-bound span in the pool *)
         let r = pick t regs cls Evictable in
         if r < 0 then raise (Pressure (pressure_message t cls))
         else begin
           let p = partner cls in
-          let i = if regs.(r).cse <> None then r else r + p in
-          let ev = { ev_cse = Option.get regs.(i).cse; ev_reg = i } in
+          let evs =
+            held_cse regs r (if p > 0 then held_cse regs (r + p) [] else [])
+          in
           clear regs.(r);
           if p > 0 then clear regs.(r + p);
-          t.stats.n_evictions <- t.stats.n_evictions + 1;
+          t.stats.n_evictions <- t.stats.n_evictions + List.length evs;
           mark_allocated t cls r;
-          (r, Some ev)
+          (r, evs)
         end
 
 type transfer = { tr_from : int; tr_to : int }
@@ -361,7 +369,7 @@ type transfer = { tr_from : int; tr_to : int }
     contents move to a freshly allocated register of the class; the caller
     emits [lr to,from] and rebinds stack/CSE state. *)
 let need t (cls : Symtab.reg_class) (r : int) :
-    (transfer option * evicted option, string) result =
+    (transfer option * evicted list, string) result =
   let bank = bank_of_class cls in
   let st = (regs t bank).(r) in
   if not st.busy then begin
@@ -371,7 +379,7 @@ let need t (cls : Symtab.reg_class) (r : int) :
     st.cse <- None;
     st.cse_shares <- 0;
     note_peak t bank;
-    Ok (None, None)
+    Ok (None, [])
   end
   else
     match alloc t (if cls = Symtab.Pair then Symtab.Gpr else cls) with

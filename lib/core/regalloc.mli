@@ -82,11 +82,12 @@ val begin_reduction : t -> unit
 
 type evicted = { ev_cse : int; ev_reg : int }
 
-val alloc : t -> Symtab.reg_class -> int * evicted option
+val alloc : t -> Symtab.reg_class -> int * evicted list
 (** [alloc t cls] returns an allocated register (the even one for pairs)
-    and, when the pool was full, the CSE-bound register that was evicted
-    to make room — the caller must store that register to the CSE's
-    temporary before using the allocation.  Raises {!Pressure} when
+    and, when the pool was full, every CSE-bound register that was
+    evicted to make room (both halves of a pair may hold one) — the
+    caller must store each to its CSE's temporary before using the
+    allocation.  Raises {!Pressure} when
     every register holds a live value.  The pick scans the class's pool
     in place and allocates nothing but the result; the {!Pressure}
     message is built only when raised. *)
@@ -94,7 +95,7 @@ val alloc : t -> Symtab.reg_class -> int * evicted option
 type transfer = { tr_from : int; tr_to : int }
 
 val need :
-  t -> Symtab.reg_class -> int -> (transfer option * evicted option, string) result
+  t -> Symtab.reg_class -> int -> (transfer option * evicted list, string) result
 (** [need t cls r] secures the specific register [r].  If busy, its
     contents move to a freshly allocated register of the class; the
     caller emits [lr to,from] and rebinds stack/CSE state. *)

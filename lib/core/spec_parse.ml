@@ -3,7 +3,9 @@
 
 type error = { line : int; msg : string }
 
-let pp_error ppf e = Fmt.pf ppf "spec:%d: %s" e.line e.msg
+let pp_error ppf e =
+  if e.line > 0 then Fmt.pf ppf "spec:%d: %s" e.line e.msg
+  else Fmt.pf ppf "spec: %s" e.msg
 
 exception Fail of error
 
@@ -274,9 +276,8 @@ let of_string (text : string) : (Spec_ast.t, error) result =
       }
   with Fail e -> Error e
 
+(* an unreadable file is an [Error] at line 0, never a [Sys_error] *)
 let of_file (path : string) : (Spec_ast.t, error) result =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_string s
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> of_string text
+  | exception Sys_error msg -> Error { line = 0; msg }

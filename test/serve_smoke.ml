@@ -1,10 +1,11 @@
 (* The serve smoke gate (`dune build @serve-smoke`, folded into
    `dune runtest`): fork a real daemon on a throwaway socket, drive the
-   example corpus through it cold and warm, and hold the service to the
-   repo's standing batch-fingerprint invariant — the served bytes must
-   digest to exactly what `Pipeline.Batch.compile_all` has produced
-   since PR 2.  COGG_JOBS sizes the daemon's pool (the fork happens
-   before any domain is spawned). *)
+   example corpus through it cold, warm and hot, and hold the service to
+   the repo's standing batch-fingerprint invariant — the served bytes
+   must digest to exactly what `Pipeline.Batch.compile_all` produces.
+   The hot pass must be answered from the result cache alone: no
+   compile, one inline hit per source.  COGG_JOBS sizes the daemon's
+   pool (the fork happens before any domain is spawned). *)
 
 let expected_fingerprint = "d522ac078361a58b19cef0d83e2260c8"
 
@@ -122,14 +123,40 @@ let () =
                 flunk "%s fingerprint drifted: %s (want %s)" label fp
                   expected_fingerprint
         in
+        let stats () =
+          match Serve.Client.stats c with
+          | Error m -> failwith ("stats failed: " ^ m)
+          | Ok text -> text
+        in
+        (* one [key value] line of the Stats reply *)
+        let counter text key =
+          let value line =
+            match String.split_on_char ' ' line with
+            | [ k; v ] when k = key -> int_of_string_opt v
+            | _ -> None
+          in
+          match List.find_map value (String.split_on_char '\n' text) with
+          | Some v -> v
+          | None -> failwith (Printf.sprintf "no %S in stats:\n%s" key text)
+        in
         pass "cold" false;
         pass "warm" true;
-        (match Serve.Client.stats c with
-        | Error m -> flunk "stats failed: %s" m
-        | Ok text ->
-            let want = Printf.sprintf "pool_size %d" (jobs ()) in
-            if not (contains text want) then
-              flunk "COGG_JOBS not respected, wanted %S in:\n%s" want text);
+        (* the warm pass's Verify_once recompiles marked every entry
+           verified, so a third pass must be answered inline without a
+           single compile: the work count behind "a hit is much faster
+           than a miss", with no wall-clock threshold to flake *)
+        let before = stats () in
+        pass "hot" true;
+        let after = stats () in
+        let delta key = counter after key - counter before key in
+        if delta "compiles" <> 0 then
+          flunk "hot pass ran %d compiles, wanted 0" (delta "compiles");
+        if delta "inline_hits" <> Array.length srcs then
+          flunk "hot pass answered %d inline hits, wanted %d"
+            (delta "inline_hits") (Array.length srcs);
+        let want = Printf.sprintf "pool_size %d" (jobs ()) in
+        if not (contains after want) then
+          flunk "COGG_JOBS not respected, wanted %S in:\n%s" want after;
         Serve.Client.close c
       in
       (try checks ()
@@ -145,5 +172,5 @@ let () =
       if !status = 0 then
         print_endline
           ("serve-smoke: corpus fingerprint " ^ expected_fingerprint
-         ^ " served cold and warm");
+         ^ " served cold, warm and hot; hot pass all inline hits");
       exit !status

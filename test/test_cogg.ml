@@ -49,6 +49,15 @@ let test_spec_parses () =
       check_int "templates" 7 (Cogg.Spec_ast.n_templates spec);
       check_int "operators" 4 (List.length spec.Cogg.Spec_ast.operators)
 
+(* an unreadable spec file is an [Error] naming it, not a [Sys_error] *)
+let test_missing_spec_file () =
+  match Cogg.Cogg_build.build_file "no/such.cgg" with
+  | Ok _ -> Alcotest.fail "built tables from a missing file"
+  | Error es ->
+      let m = Fmt.str "%a" (Fmt.list Cogg.Cogg_build.pp_error) es in
+      Alcotest.(check bool) ("names the file: " ^ m) true
+        (Util.contains m "no/such.cgg")
+
 let test_tables_build () =
   let t = build_intro () in
   check_int "user productions" 4 t.Cogg.Tables.n_user_prods;
@@ -301,6 +310,7 @@ let () =
           Alcotest.test_case "parses" `Quick test_spec_parses;
           Alcotest.test_case "tables build" `Quick test_tables_build;
           Alcotest.test_case "type errors rejected" `Quick test_spec_type_errors;
+          Alcotest.test_case "missing file is an error" `Quick test_missing_spec_file;
         ] );
       ( "codegen",
         [

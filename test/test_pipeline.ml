@@ -230,6 +230,36 @@ let test_front_end_errors () =
       | Ok _ -> Alcotest.failf "%s: bad program accepted" name)
     bad
 
+(* The even/odd-pair eviction regression, read from its corpus seed:
+   on amdahl470 both halves of the pair an [imult] claims hold CSEs,
+   and both must be spilled.  Every target, with and without CSE. *)
+let pair_cse_eviction_src =
+  lazy
+    (match Util.find_up (Sys.getcwd ()) "test/corpus/11-pair-cse-eviction.pas" with
+    | Some p -> In_channel.with_open_bin p In_channel.input_all
+    | None -> Alcotest.fail "cannot locate test/corpus/11-pair-cse-eviction.pas")
+
+let test_pair_cse_eviction () =
+  List.iter
+    (fun (target, _) ->
+      List.iter
+        (fun cse ->
+          let label = Printf.sprintf "%s, cse=%b" target cse in
+          match
+            Pipeline.verify ~cse (Util.tables target)
+              (Lazy.force pair_cse_eviction_src)
+          with
+          | Error m -> Alcotest.failf "%s: %s" label m
+          | Ok v ->
+              Alcotest.(check bool)
+                (label ^ ": machine = interpreter")
+                true v.Pipeline.agreed;
+              Alcotest.(check (list int))
+                (label ^ ": s")
+                [ -3 ] v.Pipeline.executed.Pipeline.written_ints)
+        [ true; false ])
+    Machine.Targets.all
+
 (* -- random program property test ------------------------------------------- *)
 
 (* A generator of well-formed integer programs over variables v0..v4.
@@ -340,6 +370,8 @@ let () =
           Alcotest.test_case "fibonacci" `Quick test_fib_value;
           Alcotest.test_case "procedures" `Quick test_procedures_value;
           Alcotest.test_case "integral" `Quick test_integral_value;
+          Alcotest.test_case "pair CSE eviction, every target" `Quick
+            test_pair_cse_eviction;
         ] );
       ( "optimization",
         [

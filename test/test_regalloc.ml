@@ -75,7 +75,7 @@ let test_need_free_register () =
   let t = R.create () in
   R.begin_reduction t;
   match R.need t S.Gpr 14 with
-  | Ok (None, None) -> Alcotest.(check bool) "busy" true (R.is_busy t R.Gp 14)
+  | Ok (None, []) -> Alcotest.(check bool) "busy" true (R.is_busy t R.Gp 14)
   | _ -> Alcotest.fail "unexpected transfer"
 
 let test_need_busy_register_transfers () =
@@ -104,7 +104,7 @@ let test_cse_eviction () =
     List.init 10 (fun i ->
         let r, ev = R.alloc t S.Gpr in
         Alcotest.(check bool) "no eviction while free regs remain" true
-          (ev = None);
+          (ev = []);
         R.retain t R.Gp r;
         R.bind_cse ~shares:2 t R.Gp r (100 + i);
         (* drop the allocation's own reference: count = shares *)
@@ -114,9 +114,28 @@ let test_cse_eviction () =
   ignore regs;
   (* the pool is full; the next allocation must evict a CSE *)
   match R.alloc t S.Gpr with
-  | _, Some ev ->
+  | _, [ ev ] ->
       Alcotest.(check bool) "evicted a bound CSE" true (ev.R.ev_cse >= 100)
-  | _, None -> Alcotest.fail "no eviction happened"
+  | _, [] -> Alcotest.fail "no eviction happened"
+  | _, _ -> Alcotest.fail "a single register held more than one CSE"
+
+(* a pair request that evicts a span whose halves both hold CSEs must
+   hand back both, or the odd half's value is lost unspilled *)
+let test_pair_eviction_returns_both_halves () =
+  let t = R.create ~strategy:R.First_free () in
+  R.begin_reduction t;
+  for _ = 1 to 10 do
+    let r, _ = R.alloc t S.Gpr in
+    R.bind_cse ~shares:1 t R.Gp r (100 + r)
+  done;
+  match R.alloc t S.Pair with
+  | e, evs ->
+      Alcotest.(check (list (pair int int)))
+        "both halves' CSEs evicted, even half first"
+        [ (100 + e, e); (101 + e, e + 1) ]
+        (List.map (fun ev -> (ev.R.ev_cse, ev.R.ev_reg)) evs);
+      check_int "two evictions counted" 2 t.R.stats.R.n_evictions
+  | exception R.Pressure m -> Alcotest.fail m
 
 let test_live_values_not_evicted () =
   let t = R.create () in
@@ -165,7 +184,8 @@ let test_cse_with_stack_ref_not_evicted () =
   for _ = 1 to 9 do ignore (R.alloc t S.Gpr) done;
   match R.alloc t S.Gpr with
   | exception R.Pressure _ -> ()
-  | _, Some ev when ev.R.ev_reg = a -> Alcotest.fail "live CSE register evicted"
+  | _, evs when List.exists (fun ev -> ev.R.ev_reg = a) evs ->
+      Alcotest.fail "live CSE register evicted"
   | _ -> Alcotest.fail "pool should have been exhausted"
 
 (* The paper-section-1 machine: [r ::= word d] always allocates, so a
@@ -350,7 +370,7 @@ module Ref = struct
   type rule = Free | Protected | Unprotected | Evicted | Pressure
 
   let alloc (t : R.t) cls :
-      ((int * (int * int) option, string) result * int) * rule =
+      ((int * (int * int) list, string) result * int) * rule =
     let bank = R.bank_of_class cls in
     let free = List.filter (free_for t bank cls) (pool t cls) in
     let candidates, rule =
@@ -368,7 +388,7 @@ module Ref = struct
       | _ -> (free, Free)
     in
     match pick t t.R.cursor cls candidates with
-    | Some r, cursor -> ((Ok (r, None), cursor), rule)
+    | Some r, cursor -> ((Ok (r, []), cursor), rule)
     | None, cursor -> (
         let evictable r =
           List.for_all
@@ -382,7 +402,7 @@ module Ref = struct
         | None, cursor -> ((Error (pressure t cls), cursor), Pressure)
         | Some r, cursor ->
             let ev =
-              List.find_map
+              List.filter_map
                 (fun i -> Option.map (fun c -> (c, i)) (regs t bank).(i).R.cse)
                 (covered cls r)
             in
@@ -428,18 +448,18 @@ let test_selector_matches_reference () =
               (match (expected, actual) with
               | Ok (r, ev), Ok (r', ev') ->
                   check_int (label ^ ": register") r r';
-                  Alcotest.(check (option (pair int int)))
+                  Alcotest.(check (list (pair int int)))
                     (label ^ ": eviction") ev
-                    (Option.map (fun e -> (e.R.ev_cse, e.R.ev_reg)) ev');
+                    (List.map (fun e -> (e.R.ev_cse, e.R.ev_reg)) ev');
                   (* an evicted CSE's holder is no longer live here *)
-                  (match ev with
-                  | Some (_, i) ->
+                  List.iter
+                    (fun (_, i) ->
                       held :=
                         List.filter
                           (fun (c, root) ->
                             not (List.mem i (Ref.covered c root)))
-                          !held
-                  | None -> ());
+                          !held)
+                    ev;
                   held := (cls, r) :: !held
               | Error m, Error m' ->
                   Alcotest.(check string) (label ^ ": pressure text") m m'
@@ -543,6 +563,8 @@ let () =
       ( "cse",
         [
           Alcotest.test_case "eviction" `Quick test_cse_eviction;
+          Alcotest.test_case "pair eviction returns both halves" `Quick
+            test_pair_eviction_returns_both_halves;
           Alcotest.test_case "live values safe" `Quick test_live_values_not_evicted;
           Alcotest.test_case "pressure message is diagnosable" `Quick
             test_pressure_message_names_class_and_holders;

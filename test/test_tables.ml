@@ -279,6 +279,25 @@ let test_bundle_write_read_fixpoint () =
       ("risc32", Lazy.force Util.risc32_tables);
     ]
 
+(* The table representation sizes, pinned in bytes: comb is the shipped
+   layout, flat the uncompressed ceiling.  A packing change that bloats
+   either fails here. *)
+let test_table_bytes_pinned () =
+  let comb (t : Cogg.Tables.t) = t.Cogg.Tables.compressed.Cogg.Compress.size_bytes in
+  let amdahl = tables () and risc32 = Lazy.force Util.risc32_tables in
+  Alcotest.(check (list (pair string int)))
+    "table bytes"
+    [
+      ("amdahl470 comb", 63_135);
+      ("amdahl470 flat", 112_860);
+      ("risc32 comb", 63_132);
+    ]
+    [
+      ("amdahl470 comb", comb amdahl);
+      ("amdahl470 flat", Cogg.Compress.uncompressed_bytes amdahl.Cogg.Tables.parse);
+      ("risc32 comb", comb risc32);
+    ]
+
 let () =
   Alcotest.run "tables"
     [
@@ -294,7 +313,10 @@ let () =
           Alcotest.test_case "sizes sane" `Quick test_sizes_sane;
         ] );
       ( "compression",
-        [ Alcotest.test_case "lookup equivalence" `Quick test_compressed_lookup_equivalence ] );
+        [
+          Alcotest.test_case "lookup equivalence" `Quick test_compressed_lookup_equivalence;
+          Alcotest.test_case "table bytes pinned" `Quick test_table_bytes_pinned;
+        ] );
       ( "bundle",
         [
           Alcotest.test_case "roundtrip drives codegen" `Quick test_bundle_roundtrip_drives_codegen;

@@ -92,6 +92,48 @@ let test_batch_counters_independent_of_jobs () =
   Alcotest.(check (list (pair string int)))
     "counters identical sequentially and under -j N" seq par
 
+(* The 32-job batch the batch fingerprint digests: the example corpus
+   cycled. *)
+let batch32 () =
+  let corpus = Array.of_list Pipeline.Programs.all in
+  Array.init 32 (fun i ->
+      let name, source = corpus.(i mod Array.length corpus) in
+      { Pipeline.Batch.name; source })
+
+(* Every nonzero work counter of the 32-job batch, pinned.  These are
+   counts, not timings, so a drift in code shape (shifts, reductions,
+   allocations, spills, branch sizing) fails here on any machine; the
+   case above only compares two runs with each other. *)
+let expected_batch32_counters =
+  [
+    ("codegen.compiles", 32);
+    ("cse.invalidations", 8);
+    ("cse.residence_hits", 32);
+    ("driver.max_stack", 28);
+    ("driver.parses", 32);
+    ("driver.prepared_tokens", 6000);
+    ("driver.reductions", 3040);
+    ("driver.shifts", 9008);
+    ("loader.branch_sites", 141);
+    ("loader.resolutions", 32);
+    ("loader.short_branches", 141);
+    ("loader.sizing_passes", 32);
+    ("regalloc.allocs", 1032);
+    ("regalloc.busy_peak.fp", 3);
+    ("regalloc.busy_peak.gp", 6);
+  ]
+
+let test_batch32_counters_pinned () =
+  let t = tables () in
+  let rows =
+    with_observability ~metrics:true (fun () ->
+        ignore (Pipeline.Batch.compile_all t (batch32 ()));
+        deterministic (Cogg.Metrics.snapshot ()))
+  in
+  Alcotest.(check (list (pair string int)))
+    "nonzero counters of the 32-job batch" expected_batch32_counters
+    (List.filter (fun (_, v) -> v <> 0) rows)
+
 let find_event events name =
   match
     List.find_opt (fun (e : Cogg.Trace.event) -> e.Cogg.Trace.ev_name = name)
@@ -316,6 +358,8 @@ let () =
             test_counters_merge_across_domains;
           Alcotest.test_case "batch counters independent of -j" `Quick
             test_batch_counters_independent_of_jobs;
+          Alcotest.test_case "32-job batch counters pinned" `Quick
+            test_batch32_counters_pinned;
         ] );
       ( "trace",
         [
