@@ -1,6 +1,6 @@
 (* Allocation smoke test:
      dune build @perf-smoke
-   meters minor-heap allocation on three paths and fails if any exceeds
+   meters minor-heap allocation on four paths and fails if any exceeds
    its checked-in budget (bench/perf_budget.txt, passed as argv.(1)).
    Allocation is deterministic, so the gate means the same thing on any
    machine, unlike a wall-clock bound.
@@ -11,22 +11,31 @@
    - line 1: minor words per warm [Codegen.generate] of the appendix-1
      equation under the default (comb) dispatch — the codegen hot path
      (a new per-token allocation, a listing rendered through Format
-     again, the disabled cost of the trace spans inside it);
+     or [string_of_int] again, the disabled cost of the trace spans
+     inside it).  A compile measures about 5.2k words; with a closure
+     and a string per rendered operand it took 9.8k;
    - line 2: minor words per [Pipeline.compile] pass over the eight
      examples/programs, CSE on — end to end, so an allocation blow-up
      upstream of codegen (front end, shaper, CSE optimizer, linearize)
-     trips it too.  A pass measures about 481k words; the string-keyed
+     trips it too.  A pass measures about 415k words; the string-keyed
      CSE optimizer an earlier budget replaced took 6.64M, so a return to
      per-node subtree keys would trip it many times over;
    - line 3: minor words per [Codegen.generate] pass over sixteen seeded
      [Fuzz.Gen_if] streams, one in four branch-heavy — long runs of
      reductions straight into the emitter, where template emission and
-     register allocation dominate.  A pass measures about 447k words,
-     most of it the listing and the emitted items themselves; the
-     emitter this budget replaced, which built a diagnostic string per
-     [using] allocation and lists, tuples and closures per reduction,
-     took 2.66M, so a return to per-reduction garbage trips it four
-     times over. *)
+     register allocation dominate.  A pass measures about 240k words;
+     the emitter an earlier budget replaced, which built a diagnostic
+     string per [using] allocation and lists, tuples and closures per
+     reduction, took 2.66M, so a return to per-reduction garbage trips
+     it many times over;
+   - line 4: minor words per pass of the back-end tail alone
+     ([Emit.finish], the loader, and [Emit.listing]) over the same
+     sixteen streams, parsed once beforehand.  A pass measures about
+     17k words: the code images, their TXT records, the loader's
+     per-label tables and the small listings.  With an option and a
+     tuple per encoded instruction, instruction values per branch site
+     and closures and a string per rendered operand the same tail took
+     225k. *)
 
 let rec find_up ?(depth = 6) dir rel =
   let candidate = Filename.concat dir rel in
@@ -88,11 +97,11 @@ let () =
                Fmt.epr "%s: not a number: %S@." budget_file line;
                exit 2)
   in
-  let codegen_budget, pipeline_budget, if_budget =
+  let codegen_budget, pipeline_budget, if_budget, tail_budget =
     match budgets with
-    | [ c; p; i ] -> (c, p, i)
+    | [ c; p; i; t ] -> (c, p, i, t)
     | _ ->
-        Fmt.epr "%s: want three budget lines, found %d@." budget_file
+        Fmt.epr "%s: want four budget lines, found %d@." budget_file
           (List.length budgets);
         exit 2
   in
@@ -149,3 +158,28 @@ let () =
               Fmt.epr "IF stream failed to compile: %a@." Cogg.Codegen.pp_error e;
               exit 2)
         streams)
+  ;
+  (* the same streams parsed once, then only the back-end tail metered:
+     [Emit.finish] (the loader) and [Emit.listing] leave the emitter as
+     they found it, so each run repeats the same work *)
+  let emitters =
+    List.map
+      (fun toks ->
+        let e = Cogg.Emit.create tables in
+        match Cogg.Driver.parse tables ~reduce:(Cogg.Emit.reduce e) toks with
+        | Ok _ -> e
+        | Error err ->
+            Fmt.epr "IF stream failed to parse: %a@." Cogg.Driver.pp_error err;
+            exit 2)
+      streams
+  in
+  meter ~label:"back-end-tail" ~unit:"pass" ~budget:tail_budget ~warmup:1
+    ~runs:3 (fun () ->
+      List.iter
+        (fun e ->
+          match Cogg.Emit.finish e with
+          | Ok _ -> ignore (Cogg.Emit.listing e)
+          | Error m ->
+              Fmt.epr "IF stream failed to resolve: %s@." m;
+              exit 2)
+        emitters)

@@ -5,19 +5,15 @@
     instructions are kept in a dictionary", paper section 3) until the
     Loader Record Generator resolves them.
 
-    The buffer is a growable array with a cached instruction count, so
-    appending is two writes and every consumer (the loader's sizing
-    passes, [stmt_record] bookkeeping, the listing) reads the items in
-    place — no list reversal, no counting traversals. *)
+    The buffer is a growable array with cached instruction and label
+    counts, so appending is a few writes and every consumer (the
+    loader's analysis, [stmt_record] bookkeeping, the listing) reads the
+    items in place — no list reversal, no counting traversals. *)
 
 (** Labels: [User] labels come from the IF ([label_def lbl.n]); [Internal]
     labels are invented by the code emitter for [skip] targets, so the
     shaper never has to allocate them (paper section 4.2). *)
 type label = User of int | Internal of int
-
-let pp_label ppf = function
-  | User n -> Fmt.pf ppf "L%d" n
-  | Internal n -> Fmt.pf ppf ".%d" n
 
 type item =
   | Fixed of Machine.Insn.t
@@ -37,9 +33,12 @@ type t = {
   mutable arr : item array;
   mutable n : int;
   mutable n_insns : int;  (** cached machine-instruction count *)
+  mutable n_defs : int;  (** cached [Label_def] count *)
+  mutable n_refs : int;  (** cached count of sites and [Word_label]s *)
 }
 
-let create () = { arr = Array.make 64 dummy_item; n = 0; n_insns = 0 }
+let create () =
+  { arr = Array.make 64 dummy_item; n = 0; n_insns = 0; n_defs = 0; n_refs = 0 }
 
 let add t item =
   if t.n = Array.length t.arr then begin
@@ -50,15 +49,18 @@ let add t item =
   t.arr.(t.n) <- item;
   t.n <- t.n + 1;
   match item with
-  | Fixed _ | Branch_site _ | Case_site _ -> t.n_insns <- t.n_insns + 1
-  | Label_def _ | Word_lit _ | Word_label _ -> ()
+  | Fixed _ -> t.n_insns <- t.n_insns + 1
+  | Branch_site _ | Case_site _ ->
+      t.n_insns <- t.n_insns + 1;
+      t.n_refs <- t.n_refs + 1
+  | Label_def _ -> t.n_defs <- t.n_defs + 1
+  | Word_label _ -> t.n_refs <- t.n_refs + 1
+  | Word_lit _ -> ()
 
 let length t = t.n
 let get t i = if i < 0 || i >= t.n then invalid_arg "Code_buffer.get" else t.arr.(i)
 
-let contents t = Array.sub t.arr 0 t.n
-
-let items t = Array.to_list (contents t)
+let items t = Array.to_list (Array.sub t.arr 0 t.n)
 
 let iter f t =
   for i = 0 to t.n - 1 do
@@ -69,28 +71,21 @@ let iter f t =
     on append. *)
 let n_instructions t = t.n_insns
 
-let pp_item ppf = function
-  | Fixed i -> Fmt.pf ppf "      %a" Machine.Insn.pp i
-  | Branch_site { mask; lbl; x; _ } ->
-      if x = 0 then Fmt.pf ppf "      bc    %d,%a" mask pp_label lbl
-      else Fmt.pf ppf "      bc    %d,%a(r%d)" mask pp_label lbl x
-  | Case_site { reg; lbl; _ } ->
-      Fmt.pf ppf "      l     r%d,%a(r%d)" reg pp_label lbl reg
-  | Label_def l -> Fmt.pf ppf "%a:" pp_label l
-  | Word_lit v -> Fmt.pf ppf "      dc    f'%d'" v
-  | Word_label l -> Fmt.pf ppf "      dc    a(%a)" pp_label l
+let n_label_defs t = t.n_defs
+let n_label_refs t = t.n_refs
 
-(* Buffer-based rendering, byte-identical to [pp_item]: the listing is
-   produced once per compile and feeds the determinism fingerprint, so
-   it bypasses the [Format] machinery (boxes, format-string
-   interpretation) which otherwise dominates compile time. *)
+(* The listing is produced once per compile and feeds the determinism
+   fingerprint, so it is rendered straight into a [Buffer] through
+   {!Machine.Insn}'s allocation-free writers; [pp_item] and [pp_label]
+   go through the same code, so the formatted and the rendered forms
+   cannot drift apart. *)
 let render_label b = function
   | User n ->
       Buffer.add_char b 'L';
-      Buffer.add_string b (string_of_int n)
+      Machine.Insn.add_int b n
   | Internal n ->
       Buffer.add_char b '.';
-      Buffer.add_string b (string_of_int n)
+      Machine.Insn.add_int b n
 
 let render_item b = function
   | Fixed i ->
@@ -98,35 +93,39 @@ let render_item b = function
       Machine.Insn.render b i
   | Branch_site { mask; lbl; x; _ } ->
       Buffer.add_string b "      bc    ";
-      Buffer.add_string b (string_of_int mask);
+      Machine.Insn.add_int b mask;
       Buffer.add_char b ',';
       render_label b lbl;
-      if x <> 0 then begin
-        Buffer.add_string b "(r";
-        Buffer.add_string b (string_of_int x);
-        Buffer.add_char b ')'
-      end
+      if x <> 0 then Machine.Insn.add_base b x
   | Case_site { reg; lbl; _ } ->
       Buffer.add_string b "      l     r";
-      Buffer.add_string b (string_of_int reg);
+      Machine.Insn.add_int b reg;
       Buffer.add_char b ',';
       render_label b lbl;
-      Buffer.add_string b "(r";
-      Buffer.add_string b (string_of_int reg);
-      Buffer.add_char b ')'
+      Machine.Insn.add_base b reg
   | Label_def l ->
       render_label b l;
       Buffer.add_char b ':'
   | Word_lit v ->
       Buffer.add_string b "      dc    f'";
-      Buffer.add_string b (string_of_int v);
+      Machine.Insn.add_int b v;
       Buffer.add_char b '\''
   | Word_label l ->
       Buffer.add_string b "      dc    a(";
       render_label b l;
       Buffer.add_char b ')'
 
-(** Assembly-style listing in the manner of the paper's Appendix 1. *)
+let to_string render x =
+  let b = Buffer.create 32 in
+  render b x;
+  Buffer.contents b
+
+let pp_label ppf l = Fmt.string ppf (to_string render_label l)
+let pp_item ppf it = Fmt.string ppf (to_string render_item it)
+
+(** Assembly-style listing in the manner of the paper's Appendix 1.
+    Lines average under 20 bytes with their newline, so the buffer,
+    sized at 24 bytes per item, does not grow on real code. *)
 let to_listing t =
   let b = Buffer.create (24 * (t.n + 1)) in
   for i = 0 to t.n - 1 do

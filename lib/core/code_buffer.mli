@@ -5,9 +5,9 @@
     branch instructions are kept in a dictionary", paper section 3)
     until the Loader Record Generator resolves them.
 
-    Backed by a growable array with a cached instruction count: appends
-    are O(1), [n_instructions] is O(1), and consumers read items in
-    place. *)
+    Backed by a growable array with cached instruction and label
+    counts: appends are O(1), the counts are O(1), and consumers read
+    items in place. *)
 
 (** Labels: [User] labels come from the IF ([label_def lbl.n]);
     [Internal] labels are invented by the code emitter for [skip]
@@ -37,12 +37,9 @@ val get : t -> int -> item
 (** [get t i] is the [i]th appended item; raises [Invalid_argument]
     outside [0..length-1]. *)
 
-val contents : t -> item array
-(** The appended items in order, as a fresh array. *)
-
 val items : t -> item list
-(** The appended items in order, as a list (prefer {!contents} or
-    {!iter} on hot paths). *)
+(** The appended items in order, as a list (prefer {!get} or {!iter} on
+    hot paths). *)
 
 val iter : (item -> unit) -> t -> unit
 
@@ -50,7 +47,15 @@ val n_instructions : t -> int
 (** Count of machine instructions (sites count as one); O(1), cached on
     append. *)
 
+val n_label_defs : t -> int
+(** Count of [Label_def] items; O(1), cached on append. *)
+
+val n_label_refs : t -> int
+(** Count of items naming a label: branch and case sites and
+    [Word_label]s; O(1), cached on append. *)
+
 val pp_item : Format.formatter -> item -> unit
+(** An item's listing line, rendered by the same code as {!to_listing}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Assembly-style listing in the manner of the paper's Appendix 1. *)

@@ -14,20 +14,27 @@
     span-dependent-instruction algorithm the paper cites (Robertson;
     Leverett & Szymanski).
 
-    The fixpoint is incremental: labels are interned to dense ids once,
-    each pass is two array sweeps, the long-site count is maintained at
-    widening, and emission encodes instructions directly into the result
-    image. *)
+    The analysis is one sweep over the code buffer read in place:
+    labels are interned to dense ids and references resolved once, a
+    sizing pass walks only labels and references, the long-site count
+    is maintained at widening, and emission encodes instructions
+    directly into the result image. *)
+
+type label_map
+(** The resolved label offsets; see {!label_offset}. *)
 
 type resolved = {
   code : Bytes.t;
   entry : int;  (** module-relative entry offset (after the literal pool) *)
-  labels : (Code_buffer.label * int) list;  (** resolved label offsets *)
+  label_map : label_map;
   n_sites : int;  (** branch/case-load sites *)
   n_long : int;  (** sites that needed the long form *)
   pool_words : int;  (** literal pool size *)
   iterations : int;  (** fixpoint iterations *)
 }
+
+val label_offset : resolved -> Code_buffer.label -> int option
+(** The module-relative offset of a label the module defines. *)
 
 exception Resolve_error of string
 (** Undefined/duplicate label, literal pool overflow, or divergence.

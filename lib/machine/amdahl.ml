@@ -77,9 +77,10 @@ let mem_b ops k =
   match Ops.nsubs ops k with 0 -> 0 | 1 -> Ops.sub ops k 0 | _ -> Ops.sub ops k 1
 
 let build_insn ~(mnem : string) (ops : Ops.t) : (Insn.t, string) result =
-  match Hashtbl.find Insn.opcode_of_mnemonic mnem with
-  | exception Not_found -> Error (Fmt.str "unknown mnemonic %s at emission" mnem)
-  | _, fmt -> (
+  match Insn.slot Insn.s370_opcodes mnem with
+  | -1 -> Error (Fmt.str "unknown mnemonic %s at emission" mnem)
+  | s -> (
+      let fmt = Insn.s370_opcodes.formats.(s) in
       try
         Ok
           (match fmt with

@@ -25,15 +25,87 @@ let check_imm16 what v =
   if v < -32768 || v > 32767 then
     err "%s out of range: %d (must fit signed 16 bits)" what v
 
-let opcode_of m =
-  match Hashtbl.find_opt Insn.opcode_of_mnemonic m with
-  | Some (op, f) -> (op, f)
-  | None -> err "unknown mnemonic %S" m
+(* the slot of a mnemonic in its target's opcode table *)
+let s370_slot m =
+  let s = Insn.slot Insn.s370_opcodes m in
+  if s < 0 then err "unknown mnemonic %S" m;
+  s
 
-let r32_opcode_of m =
-  match Hashtbl.find_opt Insn.r32_opcode_of_mnemonic m with
-  | Some (op, f) -> (op, f)
-  | None -> err "unknown RISC-32 mnemonic %S" m
+let r32_slot m =
+  let s = Insn.slot Insn.r32_opcodes m in
+  if s < 0 then err "unknown RISC-32 mnemonic %S" m;
+  s
+
+(** The opcode byte of a System/370 mnemonic; raises [Encode_error] on
+    an unknown one. *)
+let opcode m = Insn.s370_opcodes.codes.(s370_slot m)
+
+(** The opcode byte of a RISC-32 mnemonic. *)
+let r32_opcode m = Insn.r32_opcodes.codes.(r32_slot m)
+
+let bc_r32 = r32_opcode "bc"
+
+(* Format writers: each validates its fields, writes the encoding of
+   opcode byte [code] at [dst.[pos..]] and returns the position just
+   past it.  The loader calls them for the instructions it synthesizes,
+   so neither it nor [encode_into] builds an instruction value or an
+   option per instruction. *)
+
+let rr dst pos ~code ~r1 ~r2 =
+  check_nibble "r1" r1;
+  check_nibble "r2" r2;
+  Bytes.set_uint8 dst pos code;
+  Bytes.set_uint8 dst (pos + 1) ((r1 lsl 4) lor r2);
+  pos + 2
+
+let rx dst pos ~code ~r1 ~d2 ~x2 ~b2 =
+  check_nibble "r1" r1;
+  check_nibble "x2" x2;
+  check_nibble "b2" b2;
+  check_disp "d2" d2;
+  Bytes.set_uint8 dst pos code;
+  Bytes.set_uint8 dst (pos + 1) ((r1 lsl 4) lor x2);
+  Bytes.set_uint8 dst (pos + 2) ((b2 lsl 4) lor (d2 lsr 8));
+  Bytes.set_uint8 dst (pos + 3) (d2 land 0xFF);
+  pos + 4
+
+(* RISC-32 formats: [op(8) a(4) b(4) imm(16)] big-endian, always 4 bytes *)
+
+let r3 dst pos ~code ~rd ~rs1 ~rs2 =
+  check_nibble "rd" rd;
+  check_nibble "rs1" rs1;
+  check_nibble "rs2" rs2;
+  Bytes.set_uint8 dst pos code;
+  Bytes.set_uint8 dst (pos + 1) ((rd lsl 4) lor rs1);
+  Bytes.set_uint8 dst (pos + 2) (rs2 lsl 4);
+  Bytes.set_uint8 dst (pos + 3) 0;
+  pos + 4
+
+let ri dst pos ~code ~rd ~rs ~imm =
+  check_nibble "rd" rd;
+  check_nibble "rs" rs;
+  check_imm16 "imm" imm;
+  Bytes.set_uint8 dst pos code;
+  Bytes.set_uint8 dst (pos + 1) ((rd lsl 4) lor rs);
+  Bytes.set_uint16_be dst (pos + 2) (imm land 0xFFFF);
+  pos + 4
+
+let mem dst pos ~code ~rd ~dsp ~rb =
+  check_nibble "rd" rd;
+  check_nibble "rb" rb;
+  check_imm16 "dsp" dsp;
+  Bytes.set_uint8 dst pos code;
+  Bytes.set_uint8 dst (pos + 1) ((rd lsl 4) lor rb);
+  Bytes.set_uint16_be dst (pos + 2) (dsp land 0xFFFF);
+  pos + 4
+
+let bcc dst pos ~mask ~rel =
+  check_nibble "mask" mask;
+  check_imm16 "rel" rel;
+  Bytes.set_uint8 dst pos bc_r32;
+  Bytes.set_uint8 dst (pos + 1) (mask lsl 4);
+  Bytes.set_uint16_be dst (pos + 2) (rel land 0xFFFF);
+  pos + 4
 
 (** [encode_into insn dst pos] writes the architected byte encoding of
     [insn] at [dst.[pos..]] and returns the position just past it.  All
@@ -42,53 +114,42 @@ let r32_opcode_of m =
     declared format does not match the operand shape.  The caller is
     responsible for [dst] having [Insn.size insn] bytes of room. *)
 let encode_into (i : Insn.t) (dst : Bytes.t) (pos : int) : int =
+  let s370 = Insn.s370_opcodes and r32 = Insn.r32_opcodes in
   match i with
   | Rr { op; r1; r2 } ->
-      let code, f = opcode_of op in
-      if f <> RR then err "%s is not an RR instruction" op;
-      check_nibble "r1" r1;
-      check_nibble "r2" r2;
-      Bytes.set_uint8 dst pos code;
-      Bytes.set_uint8 dst (pos + 1) ((r1 lsl 4) lor r2);
-      pos + 2
+      let s = s370_slot op in
+      if s370.formats.(s) <> RR then err "%s is not an RR instruction" op;
+      rr dst pos ~code:s370.codes.(s) ~r1 ~r2
   | Rx { op; r1; d2; x2; b2 } ->
-      let code, f = opcode_of op in
-      if f <> RX then err "%s is not an RX instruction" op;
-      check_nibble "r1" r1;
-      check_nibble "x2" x2;
-      check_nibble "b2" b2;
-      check_disp "d2" d2;
-      Bytes.set_uint8 dst pos code;
-      Bytes.set_uint8 dst (pos + 1) ((r1 lsl 4) lor x2);
-      Bytes.set_uint8 dst (pos + 2) ((b2 lsl 4) lor (d2 lsr 8));
-      Bytes.set_uint8 dst (pos + 3) (d2 land 0xFF);
-      pos + 4
+      let s = s370_slot op in
+      if s370.formats.(s) <> RX then err "%s is not an RX instruction" op;
+      rx dst pos ~code:s370.codes.(s) ~r1 ~d2 ~x2 ~b2
   | Rs { op; r1; r3; d2; b2 } ->
-      let code, f = opcode_of op in
-      if f <> RS then err "%s is not an RS instruction" op;
+      let s = s370_slot op in
+      if s370.formats.(s) <> RS then err "%s is not an RS instruction" op;
       check_nibble "r1" r1;
       check_nibble "r3" r3;
       check_nibble "b2" b2;
       check_disp "d2" d2;
-      Bytes.set_uint8 dst pos code;
+      Bytes.set_uint8 dst pos s370.codes.(s);
       Bytes.set_uint8 dst (pos + 1) ((r1 lsl 4) lor r3);
       Bytes.set_uint8 dst (pos + 2) ((b2 lsl 4) lor (d2 lsr 8));
       Bytes.set_uint8 dst (pos + 3) (d2 land 0xFF);
       pos + 4
   | Si { op; d1; b1; i2 } ->
-      let code, f = opcode_of op in
-      if f <> SI then err "%s is not an SI instruction" op;
+      let s = s370_slot op in
+      if s370.formats.(s) <> SI then err "%s is not an SI instruction" op;
       check_byte "i2" i2;
       check_nibble "b1" b1;
       check_disp "d1" d1;
-      Bytes.set_uint8 dst pos code;
+      Bytes.set_uint8 dst pos s370.codes.(s);
       Bytes.set_uint8 dst (pos + 1) i2;
       Bytes.set_uint8 dst (pos + 2) ((b1 lsl 4) lor (d1 lsr 8));
       Bytes.set_uint8 dst (pos + 3) (d1 land 0xFF);
       pos + 4
   | Ss { op; l; d1; b1; d2; b2 } ->
-      let code, f = opcode_of op in
-      if f <> SS then err "%s is not an SS instruction" op;
+      let s = s370_slot op in
+      if s370.formats.(s) <> SS then err "%s is not an SS instruction" op;
       (* architected SS length field holds length-1; we carry the true
          length in the symbolic form *)
       if l < 1 || l > 256 then err "SS length out of range: %d" l;
@@ -96,72 +157,45 @@ let encode_into (i : Insn.t) (dst : Bytes.t) (pos : int) : int =
       check_nibble "b2" b2;
       check_disp "d1" d1;
       check_disp "d2" d2;
-      Bytes.set_uint8 dst pos code;
+      Bytes.set_uint8 dst pos s370.codes.(s);
       Bytes.set_uint8 dst (pos + 1) (l - 1);
       Bytes.set_uint8 dst (pos + 2) ((b1 lsl 4) lor (d1 lsr 8));
       Bytes.set_uint8 dst (pos + 3) (d1 land 0xFF);
       Bytes.set_uint8 dst (pos + 4) ((b2 lsl 4) lor (d2 lsr 8));
       Bytes.set_uint8 dst (pos + 5) (d2 land 0xFF);
       pos + 6
-  (* RISC-32 formats: [op(8) a(4) b(4) imm(16)] big-endian, always 4 bytes *)
   | R3 { op; rd; rs1; rs2 } ->
-      let code, f = r32_opcode_of op in
-      if f <> F_r3 then err "%s is not an R3 instruction" op;
-      check_nibble "rd" rd;
-      check_nibble "rs1" rs1;
-      check_nibble "rs2" rs2;
-      Bytes.set_uint8 dst pos code;
-      Bytes.set_uint8 dst (pos + 1) ((rd lsl 4) lor rs1);
-      Bytes.set_uint8 dst (pos + 2) (rs2 lsl 4);
-      Bytes.set_uint8 dst (pos + 3) 0;
-      pos + 4
+      let s = r32_slot op in
+      if r32.formats.(s) <> F_r3 then err "%s is not an R3 instruction" op;
+      r3 dst pos ~code:r32.codes.(s) ~rd ~rs1 ~rs2
   | R2 { op; rd; rs } ->
-      let code, f = r32_opcode_of op in
-      if f <> F_r2 then err "%s is not an R2 instruction" op;
+      let s = r32_slot op in
+      if r32.formats.(s) <> F_r2 then err "%s is not an R2 instruction" op;
       check_nibble "rd" rd;
       check_nibble "rs" rs;
-      Bytes.set_uint8 dst pos code;
+      Bytes.set_uint8 dst pos r32.codes.(s);
       Bytes.set_uint8 dst (pos + 1) ((rd lsl 4) lor rs);
       Bytes.set_uint8 dst (pos + 2) 0;
       Bytes.set_uint8 dst (pos + 3) 0;
       pos + 4
   | Ri { op; rd; rs; imm } ->
-      let code, f = r32_opcode_of op in
-      if f <> F_ri then err "%s is not an RI instruction" op;
-      check_nibble "rd" rd;
-      check_nibble "rs" rs;
-      check_imm16 "imm" imm;
-      Bytes.set_uint8 dst pos code;
-      Bytes.set_uint8 dst (pos + 1) ((rd lsl 4) lor rs);
-      Bytes.set_uint16_be dst (pos + 2) (imm land 0xFFFF);
-      pos + 4
+      let s = r32_slot op in
+      if r32.formats.(s) <> F_ri then err "%s is not an RI instruction" op;
+      ri dst pos ~code:r32.codes.(s) ~rd ~rs ~imm
   | Li { op; rd; imm } ->
-      let code, f = r32_opcode_of op in
-      if f <> F_li then err "%s is not an LI instruction" op;
+      let s = r32_slot op in
+      if r32.formats.(s) <> F_li then err "%s is not an LI instruction" op;
       check_nibble "rd" rd;
       check_imm16 "imm" imm;
-      Bytes.set_uint8 dst pos code;
+      Bytes.set_uint8 dst pos r32.codes.(s);
       Bytes.set_uint8 dst (pos + 1) (rd lsl 4);
       Bytes.set_uint16_be dst (pos + 2) (imm land 0xFFFF);
       pos + 4
   | Mem { op; rd; dsp; rb } ->
-      let code, f = r32_opcode_of op in
-      if f <> F_mem then err "%s is not a memory instruction" op;
-      check_nibble "rd" rd;
-      check_nibble "rb" rb;
-      check_imm16 "dsp" dsp;
-      Bytes.set_uint8 dst pos code;
-      Bytes.set_uint8 dst (pos + 1) ((rd lsl 4) lor rb);
-      Bytes.set_uint16_be dst (pos + 2) (dsp land 0xFFFF);
-      pos + 4
-  | Bcc { mask; rel } ->
-      let code, _ = r32_opcode_of "bc" in
-      check_nibble "mask" mask;
-      check_imm16 "rel" rel;
-      Bytes.set_uint8 dst pos code;
-      Bytes.set_uint8 dst (pos + 1) (mask lsl 4);
-      Bytes.set_uint16_be dst (pos + 2) (rel land 0xFFFF);
-      pos + 4
+      let s = r32_slot op in
+      if r32.formats.(s) <> F_mem then err "%s is not a memory instruction" op;
+      mem dst pos ~code:r32.codes.(s) ~rd ~dsp ~rb
+  | Bcc { mask; rel } -> bcc dst pos ~mask ~rel
 
 (** [encode insn] returns the architected byte encoding in a fresh
     buffer. *)

@@ -173,22 +173,78 @@ let opcode_table : (string * (int * format)) list =
     ("tr", (0xDC, SS));
   ]
 
-let opcode_of_mnemonic : (string, int * format) Hashtbl.t =
-  let h = Hashtbl.create 128 in
-  List.iter (fun (m, v) -> Hashtbl.replace h m v) opcode_table;
-  h
+(* -- mnemonic lookup -----------------------------------------------------
+
+   The encoder looks up the mnemonic of every instruction it writes, so
+   the lookup hashes no string and allocates nothing: a mnemonic of at
+   most seven bytes packs, behind a sentinel bit, into one int key, and
+   an open-addressed key array (linear probing, at most a quarter full)
+   gives the mnemonic's slot in parallel opcode and format arrays. *)
+
+type 'f opcodes = {
+  keys : int array;  (** packed mnemonic per slot; 0 marks a free slot *)
+  codes : int array;  (** opcode byte per slot *)
+  formats : 'f array;  (** instruction format per slot *)
+}
+
+(* the key of [m], or -1 if [m] is empty or longer than seven bytes *)
+let pack m =
+  let n = String.length m in
+  if n = 0 || n > 7 then -1
+  else begin
+    let k = ref 1 in
+    for i = 0 to n - 1 do
+      k := (!k lsl 8) lor Char.code (String.unsafe_get m i)
+    done;
+    !k
+  end
+
+let home keys k = ((k * 0x9E3779B97F4A7C1) lsr 32) land (Array.length keys - 1)
+
+(* the slot holding [k], or the free slot where the probe from [i] ends *)
+let rec probe keys k i =
+  let s = keys.(i) in
+  if s = k || s = 0 then i else probe keys k ((i + 1) land (Array.length keys - 1))
+
+let opcodes_of_table (table : (string * (int * 'f)) list) : 'f opcodes =
+  let size = ref 16 in
+  while !size < 4 * List.length table do
+    size := 2 * !size
+  done;
+  let keys = Array.make !size 0 and codes = Array.make !size 0 in
+  let formats = Array.make !size (snd (snd (List.hd table))) in
+  List.iter
+    (fun (m, (code, f)) ->
+      let k = pack m in
+      if k < 0 then invalid_arg ("Insn: mnemonic " ^ m);
+      let i = probe keys k (home keys k) in
+      keys.(i) <- k;
+      codes.(i) <- code;
+      formats.(i) <- f)
+    table;
+  { keys; codes; formats }
+
+(** [slot t m] is the slot of mnemonic [m] in [t], or -1 if [t] has no
+    such mnemonic. *)
+let slot t m =
+  let k = pack m in
+  if k < 0 then -1
+  else
+    let i = probe t.keys k (home t.keys k) in
+    if t.keys.(i) = k then i else -1
+
+let s370_opcodes : format opcodes = opcodes_of_table opcode_table
 
 let mnemonic_of_opcode : (int, string * format) Hashtbl.t =
   let h = Hashtbl.create 128 in
   List.iter (fun (m, (op, f)) -> Hashtbl.replace h op (m, f)) opcode_table;
   h
 
-let is_mnemonic m = Hashtbl.mem opcode_of_mnemonic m
+let is_mnemonic m = slot s370_opcodes m >= 0
 
 let format_of_mnemonic m =
-  match Hashtbl.find_opt opcode_of_mnemonic m with
-  | Some (_, f) -> Some f
-  | None -> None
+  let s = slot s370_opcodes m in
+  if s < 0 then None else Some s370_opcodes.formats.(s)
 
 (** RISC-32 mnemonic -> (opcode byte, format).  The numbering is our own
     (the machine is fictional); values may overlap the 370 table because
@@ -254,22 +310,18 @@ let r32_opcode_table : (string * (int * r32_format)) list =
     ("bc", (0x40, F_bcc));
   ]
 
-let r32_opcode_of_mnemonic : (string, int * r32_format) Hashtbl.t =
-  let h = Hashtbl.create 64 in
-  List.iter (fun (m, v) -> Hashtbl.replace h m v) r32_opcode_table;
-  h
+let r32_opcodes : r32_format opcodes = opcodes_of_table r32_opcode_table
 
 let r32_mnemonic_of_opcode : (int, string * r32_format) Hashtbl.t =
   let h = Hashtbl.create 64 in
   List.iter (fun (m, (op, f)) -> Hashtbl.replace h op (m, f)) r32_opcode_table;
   h
 
-let r32_is_mnemonic m = Hashtbl.mem r32_opcode_of_mnemonic m
+let r32_is_mnemonic m = slot r32_opcodes m >= 0
 
 let r32_format_of_mnemonic m =
-  match Hashtbl.find_opt r32_opcode_of_mnemonic m with
-  | Some (_, f) -> Some f
-  | None -> None
+  let s = slot r32_opcodes m in
+  if s < 0 then None else Some r32_opcodes.formats.(s)
 
 let size_of_format = function RR -> 2 | RX | RS | SI -> 4 | SS -> 6
 
@@ -283,157 +335,135 @@ let size = function
 (** Assembly-listing rendering, in the style of the paper's Appendix 1
     ([l r1,132(r12)], [sla r1,2], [mvc 144(4,13),168(13)], ...).
 
-    [render] appends straight to a [Buffer]: listings are produced once
-    per compile and sit on the hot path (they feed the determinism
-    fingerprint), so the rendering avoids the [Format] machinery
-    entirely.  [pp] wraps it for embedding in formatted output. *)
+    Listings are produced once per compile and sit on the hot path (they
+    feed the determinism fingerprint), so rendering allocates nothing:
+    top-level writers put mnemonics, padding and decimal digits straight
+    into the buffer, with no closure, [string_of_int] or [Format] on the
+    way.  [pp] wraps it for embedding in formatted output. *)
+
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+(** [add_int b n] appends [string_of_int n] to [b] without building it. *)
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+(* the listing pads mnemonics to 5 columns, then one space *)
+let add_mnem b op =
+  Buffer.add_string b op;
+  for _ = String.length op to 4 do
+    Buffer.add_char b ' '
+  done;
+  Buffer.add_char b ' '
+
+(* a register: [prefix] is 'r' for a GPR, 'f' for a RISC-32 FP register *)
+let add_reg b prefix r =
+  Buffer.add_char b prefix;
+  add_int b r
+
+let add_comma_reg b prefix r =
+  Buffer.add_char b ',';
+  add_reg b prefix r
+
+let add_comma_int b n =
+  Buffer.add_char b ',';
+  add_int b n
+
+(* [(rN)] *)
+let add_base b r =
+  Buffer.add_string b "(r";
+  add_int b r;
+  Buffer.add_char b ')'
+
+let is_shift = function
+  | "sla" | "sra" | "sll" | "srl" | "slda" | "srda" | "sldl" | "srdl" -> true
+  | _ -> false
+
 let render (b : Buffer.t) (t : t) : unit =
-  let str = Buffer.add_string b in
-  let ch = Buffer.add_char b in
-  let int n = str (string_of_int n) in
-  let mnem op =
-    str op;
-    (* the listing pads mnemonics to 5 columns *)
-    for _ = String.length op to 4 do
-      ch ' '
-    done;
-    ch ' '
-  in
-  let reg r =
-    ch 'r';
-    int r
-  in
-  let freg r =
-    ch 'f';
-    int r
-  in
   match t with
   | Rr { op; r1; r2 } ->
-      mnem op;
-      reg r1;
-      ch ',';
-      reg r2
+      add_mnem b op;
+      add_reg b 'r' r1;
+      add_comma_reg b 'r' r2
   | Rx { op; r1; d2; x2; b2 } ->
-      mnem op;
-      reg r1;
-      ch ',';
-      int d2;
-      if x2 = 0 && b2 = 0 then ()
-      else if x2 = 0 then begin
-        ch '(';
-        reg b2;
-        ch ')'
+      add_mnem b op;
+      add_reg b 'r' r1;
+      add_comma_int b d2;
+      if x2 <> 0 then begin
+        Buffer.add_string b "(r";
+        add_int b x2;
+        add_comma_reg b 'r' b2;
+        Buffer.add_char b ')'
       end
-      else begin
-        ch '(';
-        reg x2;
-        ch ',';
-        reg b2;
-        ch ')'
-      end
-  | Rs { op; r1; r3; d2; b2 } -> (
-      match op with
-      | "sla" | "sra" | "sll" | "srl" | "slda" | "srda" | "sldl" | "srdl" ->
-          mnem op;
-          reg r1;
-          ch ',';
-          int d2;
-          if b2 <> 0 then begin
-            ch '(';
-            reg b2;
-            ch ')'
-          end
-      | _ ->
-          mnem op;
-          reg r1;
-          ch ',';
-          reg r3;
-          ch ',';
-          int d2;
-          if b2 <> 0 then begin
-            ch '(';
-            reg b2;
-            ch ')'
-          end)
+      else if b2 <> 0 then add_base b b2
+  | Rs { op; r1; r3; d2; b2 } ->
+      add_mnem b op;
+      add_reg b 'r' r1;
+      if not (is_shift op) then add_comma_reg b 'r' r3;
+      add_comma_int b d2;
+      if b2 <> 0 then add_base b b2
   | Si { op; d1; b1; i2 } ->
-      mnem op;
-      int d1;
-      if b1 <> 0 then begin
-        ch '(';
-        reg b1;
-        ch ')'
-      end;
-      ch ',';
-      int i2
+      add_mnem b op;
+      add_int b d1;
+      if b1 <> 0 then add_base b b1;
+      add_comma_int b i2
   | Ss { op; l; d1; b1; d2; b2 } ->
-      mnem op;
-      int d1;
-      ch '(';
-      int l;
-      ch ',';
-      reg b1;
-      ch ')';
-      ch ',';
-      int d2;
-      ch '(';
-      reg b2;
-      ch ')'
+      add_mnem b op;
+      add_int b d1;
+      Buffer.add_char b '(';
+      add_int b l;
+      add_comma_reg b 'r' b1;
+      Buffer.add_string b "),";
+      add_int b d2;
+      add_base b b2
   | R3 { op; rd; rs1; rs2 } ->
-      let r = if String.length op > 0 && op.[0] = 'f' then freg else reg in
-      mnem op;
-      r rd;
-      ch ',';
-      r rs1;
-      ch ',';
-      r rs2
+      let p = if String.length op > 0 && op.[0] = 'f' then 'f' else 'r' in
+      add_mnem b op;
+      add_reg b p rd;
+      add_comma_reg b p rs1;
+      add_comma_reg b p rs2
   | R2 { op; rd; rs } -> (
-      mnem op;
+      add_mnem b op;
       match op with
-      | "jr" -> reg rs
+      | "jr" -> add_reg b 'r' rs
       | "itof" ->
-          freg rd;
-          ch ',';
-          reg rs
+          add_reg b 'f' rd;
+          add_comma_reg b 'r' rs
       | "ftoi" ->
-          reg rd;
-          ch ',';
-          freg rs
+          add_reg b 'r' rd;
+          add_comma_reg b 'f' rs
       | "fmov" | "fneg" | "fabs" | "fhlv" | "fcmp" ->
-          freg rd;
-          ch ',';
-          freg rs
+          add_reg b 'f' rd;
+          add_comma_reg b 'f' rs
       | _ ->
-          reg rd;
-          ch ',';
-          reg rs)
+          add_reg b 'r' rd;
+          add_comma_reg b 'r' rs)
   | Ri { op; rd; rs; imm } ->
-      mnem op;
-      reg rd;
-      ch ',';
-      reg rs;
-      ch ',';
-      int imm
+      add_mnem b op;
+      add_reg b 'r' rd;
+      add_comma_reg b 'r' rs;
+      add_comma_int b imm
   | Li { op; rd; imm } ->
-      mnem op;
-      reg rd;
-      ch ',';
-      int imm
+      add_mnem b op;
+      add_reg b 'r' rd;
+      add_comma_int b imm
   | Mem { op; rd; dsp; rb } ->
-      let r =
-        match op with "fld" | "fsd" | "fls" | "fss" -> freg | _ -> reg
-      in
-      mnem op;
-      r rd;
-      ch ',';
-      int dsp;
-      ch '(';
-      reg rb;
-      ch ')'
+      add_mnem b op;
+      (match op with
+      | "fld" | "fsd" | "fls" | "fss" -> add_reg b 'f' rd
+      | _ -> add_reg b 'r' rd);
+      add_comma_int b dsp;
+      add_base b rb
   | Bcc { mask; rel } ->
-      mnem "bc";
-      int mask;
-      ch ',';
-      int rel
+      add_mnem b "bc";
+      add_int b mask;
+      add_comma_int b rel
 
 let to_string t =
   let b = Buffer.create 24 in

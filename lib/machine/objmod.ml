@@ -120,12 +120,13 @@ let of_code ?(name = "MAIN") ?(origin = 0) ~(entry : int) (code : Bytes.t) : t
     =
   let len = Bytes.length code in
   let chunk = 56 (* bytes per TXT record, card-image tradition *) in
+  (* consed from the last record back, so the list is built once *)
   let rec txts pos acc =
-    if pos >= len then List.rev acc
+    if pos < 0 then acc
     else
-      let n = min chunk (len - pos) in
-      let bytes = Bytes.sub_string code pos n in
-      txts (pos + n) (Txt { addr = origin + pos; bytes } :: acc)
+      let bytes = Bytes.sub_string code pos (min chunk (len - pos)) in
+      txts (pos - chunk) (Txt { addr = origin + pos; bytes } :: acc)
   in
-  (Esd { name; origin; length = len } :: txts 0 [])
-  @ [ End { entry = origin + entry } ]
+  let last = if len = 0 then -1 else (len - 1) / chunk * chunk in
+  Esd { name; origin; length = len }
+  :: txts last [ End { entry = origin + entry } ]

@@ -256,9 +256,10 @@ let plain mnem ops k =
   else Fmt.failwith "%s: operand %d shape mismatch at emission" mnem (k + 1)
 
 let build_insn ~(mnem : string) (ops : Ops.t) : (Insn.t, string) result =
-  match Hashtbl.find Insn.r32_opcode_of_mnemonic mnem with
-  | exception Not_found -> Error (Fmt.str "unknown mnemonic %s at emission" mnem)
-  | _, f -> (
+  match Insn.slot Insn.r32_opcodes mnem with
+  | -1 -> Error (Fmt.str "unknown mnemonic %s at emission" mnem)
+  | s -> (
+      let f = Insn.r32_opcodes.formats.(s) in
       try
         Ok
           (match f with

@@ -61,6 +61,21 @@ type executed = {
   written_reals : float list;
 }
 
+(* Resolve the procedure address table: the role of a linking loader. *)
+let install_proc_table ~layout sim resolved proc_slots =
+  List.fold_left
+    (fun acc (_, slot, lbl) ->
+      let* () = acc in
+      match Cogg.Loader_gen.label_offset resolved (Cogg.Code_buffer.User lbl) with
+      | Some off ->
+          Machine.Sim.store_w sim
+            (layout.Machine.Runtime.psa_addr + Machine.Runtime.psa_proctab
+           + (4 * slot))
+            (layout.Machine.Runtime.code_addr + off);
+          Ok ()
+      | None -> Error (Fmt.str "procedure label L%d unresolved" lbl))
+    (Ok ()) proc_slots
+
 (** Load and run a compiled program. *)
 let execute ?(layout = Machine.Runtime.default_layout) ?(max_steps = 5_000_000)
     (c : compiled) : (executed, string) result =
@@ -68,21 +83,9 @@ let execute ?(layout = Machine.Runtime.default_layout) ?(max_steps = 5_000_000)
   let* sim, entry =
     tgt.Machine.Target.boot ~layout c.gen.Cogg.Codegen.objmod
   in
-  (* resolve the procedure address table: the role of a linking loader *)
-  let labels = c.gen.Cogg.Codegen.resolved.Cogg.Loader_gen.labels in
   let* () =
-    List.fold_left
-      (fun acc (_, slot, lbl) ->
-        let* () = acc in
-        match List.assoc_opt (Cogg.Code_buffer.User lbl) labels with
-        | Some off ->
-            Machine.Sim.store_w sim
-              (layout.Machine.Runtime.psa_addr + Machine.Runtime.psa_proctab
-             + (4 * slot))
-              (layout.Machine.Runtime.code_addr + off);
-            Ok ()
-        | None -> Error (Fmt.str "procedure label L%d unresolved" lbl))
-      (Ok ()) c.shaped.Shaper.Irgen.proc_slots
+    install_proc_table ~layout sim c.gen.Cogg.Codegen.resolved
+      c.shaped.Shaper.Irgen.proc_slots
   in
   let* outcome = tgt.Machine.Target.run ~max_steps ~layout sim ~entry in
   let frame = outcome.Machine.Runtime.final_frame in
@@ -261,20 +264,9 @@ let execute_baseline ?(layout = Machine.Runtime.default_layout)
     ?(max_steps = 5_000_000) (c : baseline_compiled) : (executed, string) result
     =
   let* sim, entry = Machine.Runtime.boot ~layout c.b_gen.Baseline.objmod in
-  let labels = c.b_gen.Baseline.resolved.Cogg.Loader_gen.labels in
   let* () =
-    List.fold_left
-      (fun acc (_, slot, lbl) ->
-        let* () = acc in
-        match List.assoc_opt (Cogg.Code_buffer.User lbl) labels with
-        | Some off ->
-            Machine.Sim.store_w sim
-              (layout.Machine.Runtime.psa_addr + Machine.Runtime.psa_proctab
-             + (4 * slot))
-              (layout.Machine.Runtime.code_addr + off);
-            Ok ()
-        | None -> Error (Fmt.str "procedure label L%d unresolved" lbl))
-      (Ok ()) c.b_shaped.Shaper.Irgen.proc_slots
+    install_proc_table ~layout sim c.b_gen.Baseline.resolved
+      c.b_shaped.Shaper.Irgen.proc_slots
   in
   let* outcome = Machine.Runtime.run ~max_steps ~layout sim ~entry in
   let frame = outcome.Machine.Runtime.final_frame in

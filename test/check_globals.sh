@@ -32,7 +32,8 @@
 #                          plain immutable association list consulted
 #                          from pool domains; adding a backend adds a
 #                          row, never a mutation.  The opcode tables in
-#                          Insn (Hashtbl.t lookups) are populated once
+#                          Insn (the mnemonic index arrays and the
+#                          Hashtbl.t decode lookups) are populated once
 #                          at module initialization, before any domain
 #                          is spawned, and are read-only afterwards.
 

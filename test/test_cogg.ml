@@ -155,8 +155,10 @@ let test_loader_widening_cascade () =
     (r.Cogg.Loader_gen.iterations > 2);
   (* both labels resolved past the boundary, shifted by the 8-byte pool
      and the 4 extra bytes of each widened site before them *)
-  check_int "L2 offset" (4092 + 8 + 8) (List.assoc (User 2) r.Cogg.Loader_gen.labels);
-  check_int "L1 offset" (4096 + 8 + 8) (List.assoc (User 1) r.Cogg.Loader_gen.labels)
+  let offset l = Cogg.Loader_gen.label_offset r l in
+  Alcotest.(check (option int)) "L2 offset" (Some (4092 + 8 + 8)) (offset (User 2));
+  Alcotest.(check (option int)) "L1 offset" (Some (4096 + 8 + 8)) (offset (User 1));
+  Alcotest.(check (option int)) "no offset for an unknown label" None (offset (User 3))
 
 (* 1024 branch sites all forced long need 4096 pool bytes — past the
    4092-byte pool limit (the pool itself must stay inside page 0). *)

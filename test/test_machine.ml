@@ -1528,9 +1528,177 @@ let test_branch_over_page () =
   check_int "entry skips the pool" 4 r.Cogg.Loader_gen.entry;
   check_int "long branch lands" 1 r3
 
+(* -- mnemonic lookup ----------------------------------------------------- *)
+
+let test_mnemonic_index () =
+  let check_table name opcodes table =
+    List.iter
+      (fun (m, (code, f)) ->
+        let s = Insn.slot opcodes m in
+        if s < 0 then Alcotest.failf "%s: %s not found" name m;
+        check_int (name ^ " opcode of " ^ m) code opcodes.Insn.codes.(s);
+        Alcotest.(check bool)
+          (name ^ " format of " ^ m) true
+          (opcodes.Insn.formats.(s) = f))
+      table;
+    List.iter
+      (fun m ->
+        check_int (Fmt.str "%s: %S is no mnemonic" name m) (-1)
+          (Insn.slot opcodes m))
+      [ ""; "zz"; "lrx"; "l "; "\000l"; "mvcmvcmv"; "balrbalr" ]
+  in
+  check_table "s370" Insn.s370_opcodes Insn.opcode_table;
+  check_table "r32" Insn.r32_opcodes Insn.r32_opcode_table
+
+(* -- listing text against a Printf reference ------------------------------ *)
+
+(* The Appendix-1 listing formats, written with Printf: the reference the
+   allocation-free renderers must match byte for byte. *)
+let ref_mnem op = Printf.sprintf "%-5s " op
+let ref_base r = if r = 0 then "" else Printf.sprintf "(r%d)" r
+
+let ref_insn : Insn.t -> string = function
+  | Rr { op; r1; r2 } -> Printf.sprintf "%sr%d,r%d" (ref_mnem op) r1 r2
+  | Rx { op; r1; d2; x2; b2 } ->
+      let addr =
+        if x2 = 0 then ref_base b2 else Printf.sprintf "(r%d,r%d)" x2 b2
+      in
+      Printf.sprintf "%sr%d,%d%s" (ref_mnem op) r1 d2 addr
+  | Rs { op; r1; r3; d2; b2 } ->
+      if List.mem op [ "sla"; "sra"; "sll"; "srl"; "slda"; "srda"; "sldl"; "srdl" ]
+      then Printf.sprintf "%sr%d,%d%s" (ref_mnem op) r1 d2 (ref_base b2)
+      else Printf.sprintf "%sr%d,r%d,%d%s" (ref_mnem op) r1 r3 d2 (ref_base b2)
+  | Si { op; d1; b1; i2 } ->
+      Printf.sprintf "%s%d%s,%d" (ref_mnem op) d1 (ref_base b1) i2
+  | Ss { op; l; d1; b1; d2; b2 } ->
+      Printf.sprintf "%s%d(%d,r%d),%d(r%d)" (ref_mnem op) d1 l b1 d2 b2
+  | R3 { op; rd; rs1; rs2 } ->
+      let p = if String.length op > 0 && op.[0] = 'f' then 'f' else 'r' in
+      Printf.sprintf "%s%c%d,%c%d,%c%d" (ref_mnem op) p rd p rs1 p rs2
+  | R2 { op; rd; rs } -> (
+      let m = ref_mnem op in
+      match op with
+      | "jr" -> Printf.sprintf "%sr%d" m rs
+      | "itof" -> Printf.sprintf "%sf%d,r%d" m rd rs
+      | "ftoi" -> Printf.sprintf "%sr%d,f%d" m rd rs
+      | "fmov" | "fneg" | "fabs" | "fhlv" | "fcmp" ->
+          Printf.sprintf "%sf%d,f%d" m rd rs
+      | _ -> Printf.sprintf "%sr%d,r%d" m rd rs)
+  | Ri { op; rd; rs; imm } -> Printf.sprintf "%sr%d,r%d,%d" (ref_mnem op) rd rs imm
+  | Li { op; rd; imm } -> Printf.sprintf "%sr%d,%d" (ref_mnem op) rd imm
+  | Mem { op; rd; dsp; rb } ->
+      let p = if List.mem op [ "fld"; "fsd"; "fls"; "fss" ] then 'f' else 'r' in
+      Printf.sprintf "%s%c%d,%d(r%d)" (ref_mnem op) p rd dsp rb
+  | Bcc { mask; rel } -> Printf.sprintf "%s%d,%d" (ref_mnem "bc") mask rel
+
+let ref_label : Cogg.Code_buffer.label -> string = function
+  | User n -> Printf.sprintf "L%d" n
+  | Internal n -> Printf.sprintf ".%d" n
+
+let ref_item : Cogg.Code_buffer.item -> string = function
+  | Fixed i -> "      " ^ ref_insn i
+  | Branch_site { mask; lbl; x; _ } ->
+      if x = 0 then Printf.sprintf "      bc    %d,%s" mask (ref_label lbl)
+      else Printf.sprintf "      bc    %d,%s(r%d)" mask (ref_label lbl) x
+  | Case_site { reg; lbl; _ } ->
+      Printf.sprintf "      l     r%d,%s(r%d)" reg (ref_label lbl) reg
+  | Label_def l -> ref_label l ^ ":"
+  | Word_lit v -> Printf.sprintf "      dc    f'%d'" v
+  | Word_label l -> Printf.sprintf "      dc    a(%s)" (ref_label l)
+
+(* operands of every width: zero, one digit, several digits, negative,
+   and the extremes of [int] *)
+let gen_num =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return 0);
+        (4, int_range (-9) 9);
+        (4, int_range (-99_999) 99_999);
+        (1, oneofl [ min_int; max_int; -1; 10; 100; 4095; -32768 ]);
+      ])
+
+(* every constructor, with mnemonics drawn from its own format so the
+   shift, float-register and [jr] cases all come up *)
+let gen_render_insn : Insn.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let n = gen_num in
+  let of_fmt table fmt =
+    oneofl (List.filter_map (fun (m, (_, f)) -> if f = fmt then Some m else None) table)
+  in
+  let s370 = of_fmt Insn.opcode_table and r32 = of_fmt Insn.r32_opcode_table in
+  oneof
+    [
+      (let* op = s370 Insn.RR and* r1 = n and* r2 = n in
+       return (Insn.Rr { op; r1; r2 }));
+      (let* op = s370 Insn.RX and* r1 = n and* d2 = n and* x2 = n and* b2 = n in
+       return (Insn.Rx { op; r1; d2; x2; b2 }));
+      (let* op = s370 Insn.RS and* r1 = n and* r3 = n and* d2 = n and* b2 = n in
+       return (Insn.Rs { op; r1; r3; d2; b2 }));
+      (let* op = s370 Insn.SI and* d1 = n and* b1 = n and* i2 = n in
+       return (Insn.Si { op; d1; b1; i2 }));
+      (let* op = s370 Insn.SS and* l = n and* d1 = n and* b1 = n and* d2 = n
+       and* b2 = n in
+       return (Insn.Ss { op; l; d1; b1; d2; b2 }));
+      (let* op = r32 Insn.F_r3 and* rd = n and* rs1 = n and* rs2 = n in
+       return (Insn.R3 { op; rd; rs1; rs2 }));
+      (let* op = r32 Insn.F_r2 and* rd = n and* rs = n in
+       return (Insn.R2 { op; rd; rs }));
+      (let* op = r32 Insn.F_ri and* rd = n and* rs = n and* imm = n in
+       return (Insn.Ri { op; rd; rs; imm }));
+      (let* op = r32 Insn.F_li and* rd = n and* imm = n in
+       return (Insn.Li { op; rd; imm }));
+      (let* op = r32 Insn.F_mem and* rd = n and* dsp = n and* rb = n in
+       return (Insn.Mem { op; rd; dsp; rb }));
+      (let* mask = n and* rel = n in
+       return (Insn.Bcc { mask; rel }));
+    ]
+
+let gen_item : Cogg.Code_buffer.item QCheck.Gen.t =
+  let open QCheck.Gen in
+  let n = gen_num in
+  let lbl =
+    let* k = n and* user = bool in
+    return (if user then Cogg.Code_buffer.User k else Cogg.Code_buffer.Internal k)
+  in
+  oneof
+    [
+      map (fun i -> Cogg.Code_buffer.Fixed i) gen_render_insn;
+      (let* mask = n and* lbl = lbl and* idx = n and* x = oneof [ return 0; n ] in
+       return (Cogg.Code_buffer.Branch_site { mask; lbl; idx; x }));
+      (let* reg = n and* lbl = lbl and* idx = n in
+       return (Cogg.Code_buffer.Case_site { reg; lbl; idx }));
+      map (fun l -> Cogg.Code_buffer.Label_def l) lbl;
+      map (fun v -> Cogg.Code_buffer.Word_lit v) n;
+      map (fun l -> Cogg.Code_buffer.Word_label l) lbl;
+    ]
+
+let prop_render_insn =
+  QCheck.Test.make ~count:2000 ~name:"Insn.to_string = Printf reference"
+    (QCheck.make gen_render_insn ~print:ref_insn)
+    (fun i -> Insn.to_string i = ref_insn i)
+
+(* a listing of random items equals the reference lines joined by
+   newlines, and [pp_item] renders each line the same way *)
+let prop_render_listing =
+  QCheck.Test.make ~count:500 ~name:"Code_buffer listing = Printf reference"
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 0 12) gen_item)
+       ~print:(fun items -> String.concat "\n" (List.map ref_item items)))
+    (fun items ->
+      let buf = Cogg.Code_buffer.create () in
+      List.iter (Cogg.Code_buffer.add buf) items;
+      Cogg.Code_buffer.to_listing buf
+      = String.concat "\n" (List.map ref_item items)
+      && List.for_all
+           (fun it -> Fmt.str "%a" Cogg.Code_buffer.pp_item it = ref_item it)
+           items)
+
 (* -- suite ----------------------------------------------------------------- *)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_add; prop_mr_dr ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_roundtrip; prop_add; prop_mr_dr; prop_render_insn; prop_render_listing ]
 
 let () =
   Alcotest.run "machine"
@@ -1541,6 +1709,8 @@ let () =
           Alcotest.test_case "sizes" `Quick test_sizes;
           Alcotest.test_case "encode_all/decode_all" `Quick test_encode_all_decode_all;
           Alcotest.test_case "bad encodings rejected" `Quick test_bad_encodings;
+          Alcotest.test_case "mnemonic index agrees with the tables" `Quick
+            test_mnemonic_index;
         ] );
       ( "sim",
         [
