@@ -12,22 +12,27 @@
      equation under the default (comb) dispatch — the codegen hot path
      (a new per-token allocation, a listing rendered through Format
      or [string_of_int] again, the disabled cost of the trace spans
-     inside it).  A compile measures about 5.2k words; with a closure
-     and a string per rendered operand it took 9.8k;
+     inside it).  A compile measures about 2.35k words; with a boxed
+     token record per input token and a right-hand-side copy and a
+     token list per reduction it took 5.2k, and with a closure and a
+     string per rendered operand as well, 9.8k;
    - line 2: minor words per [Pipeline.compile] pass over the eight
      examples/programs, CSE on — end to end, so an allocation blow-up
      upstream of codegen (front end, shaper, CSE optimizer, linearize)
-     trips it too.  A pass measures about 415k words; the string-keyed
+     trips it too.  A pass measures about 360k words (415k before the
+     driver read its input lazily into int arrays); the string-keyed
      CSE optimizer an earlier budget replaced took 6.64M, so a return to
      per-node subtree keys would trip it many times over;
    - line 3: minor words per [Codegen.generate] pass over sixteen seeded
      [Fuzz.Gen_if] streams, one in four branch-heavy — long runs of
      reductions straight into the emitter, where template emission and
-     register allocation dominate.  A pass measures about 240k words;
-     the emitter an earlier budget replaced, which built a diagnostic
-     string per [using] allocation and lists, tuples and closures per
-     reduction, took 2.66M, so a return to per-reduction garbage trips
-     it many times over;
+     register allocation dominate.  A pass measures about 98k words;
+     with a boxed token per input token and a right-hand-side copy and
+     a token list per reduction it took 240k.  The emitter an earlier
+     budget replaced, which built a diagnostic string per [using]
+     allocation and lists, tuples and closures per reduction, took
+     2.66M, so a return to per-reduction garbage trips it many times
+     over;
    - line 4: minor words per pass of the back-end tail alone
      ([Emit.finish], the loader, and [Emit.listing]) over the same
      sixteen streams, parsed once beforehand.  A pass measures about

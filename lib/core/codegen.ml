@@ -29,13 +29,15 @@ let pp_error ppf = function
     under {!Trace} spans named like the benchmark's layers — [driver]
     (the parse, with the template emission it calls back into),
     [loader] (label resolution and loader records) and [listing] — so
-    [--trace]/[--stats] show where a compile's code generation went. *)
+    [--trace]/[--stats] show where a compile's code generation went.
+    Inside [driver], the time spent in [Emit.reduce] is summed and
+    reported as the [emit] layer. *)
 let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch
     ?(explain = false) ?on_reduce (tables : Tables.t)
     (input : Ifl.Token.t list) : (result_t, error) result =
   let span name f = Trace.with_span ~cat:"codegen" name f in
   let emitter = Emit.create ~strategy ~explain tables in
-  let reduce =
+  let emit =
     match on_reduce with
     | None -> Emit.reduce emitter
     | Some f ->
@@ -43,13 +45,32 @@ let generate ?(name = "MAIN") ?(strategy = Regalloc.Lru) ?dispatch
           f prod;
           Emit.reduce emitter ~prod ~rhs ~remap
   in
-  let result =
+  (* the [emit] accumulator: chosen once per compile, so with tracing
+     and metrics off the driver calls the emitter with nothing between *)
+  let timed = Trace.enabled () || Metrics.enabled () in
+  let first_us = ref (-1.0) and emit_us = ref 0.0 in
+  let reduce =
+    if not timed then emit
+    else fun ~prod ~rhs ~remap ->
+      let t0 = Trace.now_us () in
+      if !first_us < 0.0 then first_us := t0;
+      emit ~prod ~rhs ~remap;
+      emit_us := !emit_us +. (Trace.now_us () -. t0)
+  in
+  let parsed =
     match
       span "driver" (fun () -> Driver.parse ?dispatch tables ~reduce input)
     with
+    | Ok outcome -> Ok outcome
     | Error e -> Error (Parse_error e)
     | exception Emit.Emit_error m -> Error (Emit_failure m)
     | exception Regalloc.Pressure m -> Error (Emit_failure m)
+  in
+  if !first_us >= 0.0 then
+    Trace.add_total ~cat:"codegen" "emit" ~ts:!first_us ~dur:!emit_us;
+  let result =
+    match parsed with
+    | Error e -> Error e
     | Ok outcome -> (
         match span "loader" (fun () -> Emit.finish ~name emitter) with
         | Error m -> Error (Resolve_failure m)

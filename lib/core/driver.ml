@@ -2,11 +2,11 @@
     (paper section 3).
 
     The parser consumes the linearized IF.  On a reduction it calls the
-    code emission routine, which returns the tokens to prefix back onto
-    the input stream (normally the production's LHS bound to the result
-    register; possibly a converted odd register or a CSE's location).
-    Because non-terminal tokens are shifted like any others, no separate
-    GOTO table exists.
+    code emission routine, which prefixes tokens back onto the input
+    stream (normally the production's LHS bound to the result register;
+    possibly a converted odd register or a CSE's location).  Because
+    non-terminal tokens are shifted like any others, no separate GOTO
+    table exists.
 
     "If the specification of the code generator is correct, then the code
     generator cannot emit incorrect instruction sequences.  Instead it
@@ -20,21 +20,68 @@
     they take identical actions (default reductions only ever replace
     error entries, so they can delay — never lose — error detection).
 
-    {b Hot path memory discipline.}  The inner loop works on {e prepared}
-    tokens ({!ptoken}): the input stream is resolved in one pass at parse
-    start — each token's [sym] string interned to its {!Grammar.sym} id,
-    the kind/class coercions applied and the value discipline checked
-    once — so a shift costs two array writes and an integer table probe:
-    no string hashing, no record allocation.  The emission routine trades
-    in the same representation, so reduction-prefixed tokens re-enter the
-    stream already interned. *)
+    {b Hot path memory discipline.}  Every token the loop handles is
+    four ints in parallel arrays — a state, a symbol id, a value tag and
+    a payload per translation-stack slot, the same minus the state per
+    prefixed token — held in one {!frame}.  An input token is read
+    lazily, when the parse first reaches it: its [sym] string is
+    interned with a hash probe that allocates nothing, its value is
+    coerced and checked once, and it waits in a four-int lookahead
+    until it is shifted.  A shift is four array writes and an integer
+    table probe.  A reduction hands the emitter the frame: the popped
+    right-hand side stays in place on the stack, and the emitter writes
+    the tokens it prefixes straight into the frame's prefix buffer.
+    The parse allocates its frame and nothing per token. *)
 
 type dispatch = Flat | Comb
 
-(** A prepared IF token: the grammar symbol id (interned once, at stream
-    preparation or by the emitter) and the coerced attribute value.  The
-    inner loop never touches a symbol {e name}. *)
-type ptoken = { psym : Grammar.sym; pvalue : Ifl.Value.t }
+(* value tags: the constructor of an [Ifl.Value.t], whose payload sits
+   beside it as a plain int (0 for [Unit]) *)
+let tag_unit = 0
+let tag_int = 1
+let tag_reg = 2
+let tag_label = 3
+let tag_cse = 4
+let tag_cond = 5
+
+let tag_of : Ifl.Value.t -> int = function
+  | Ifl.Value.Unit -> tag_unit
+  | Ifl.Value.Int _ -> tag_int
+  | Ifl.Value.Reg _ -> tag_reg
+  | Ifl.Value.Label _ -> tag_label
+  | Ifl.Value.Cse _ -> tag_cse
+  | Ifl.Value.Cond _ -> tag_cond
+
+let payload_of : Ifl.Value.t -> int = function
+  | Ifl.Value.Unit -> 0
+  | Ifl.Value.Int n
+  | Ifl.Value.Reg n
+  | Ifl.Value.Label n
+  | Ifl.Value.Cse n
+  | Ifl.Value.Cond n ->
+      n
+
+let value_of ~tag n : Ifl.Value.t =
+  if tag = tag_int then Ifl.Value.Int n
+  else if tag = tag_reg then Ifl.Value.Reg n
+  else if tag = tag_label then Ifl.Value.Label n
+  else if tag = tag_cse then Ifl.Value.Cse n
+  else if tag = tag_cond then Ifl.Value.Cond n
+  else Ifl.Value.Unit
+
+type frame = {
+  mutable states : int array;
+  mutable syms : int array;
+  mutable tags : int array;
+  mutable vals : int array;
+  mutable sp : int;
+  mutable base : int;
+  mutable len : int;
+  mutable pre_syms : int array;
+  mutable pre_tags : int array;
+  mutable pre_vals : int array;
+  mutable pre_n : int;
+}
 
 type error = {
   position : int;
@@ -92,17 +139,67 @@ let m_delayed = Metrics.sum "driver.delayed_error_runs"
 let m_max_stack = Metrics.high_water "driver.max_stack"
 let m_prepared = Metrics.sum "driver.prepared_tokens"
 
-(* A growable stack kept as an array plus a fill pointer; the hot path
-   is push/pop at the top, plus the occasional in-place [remap] sweep
-   over the live prefix. *)
+(* the frame's arrays grow by doubling; the hot path is push/pop at the
+   top, plus the occasional in-place [remap] sweep over the live part *)
+let grow arr n =
+  let narr = Array.make (max n (2 * Array.length arr)) 0 in
+  Array.blit arr 0 narr 0 (Array.length arr);
+  narr
 
-let grow arr n ~dummy =
-  let cap = Array.length arr in
-  if n <= cap then arr
-  else begin
-    let narr = Array.make (max n (2 * cap)) dummy in
-    Array.blit arr 0 narr 0 cap;
-    narr
+let create_frame () =
+  {
+    states = Array.make 64 0;
+    syms = Array.make 64 0;
+    tags = Array.make 64 0;
+    vals = Array.make 64 0;
+    sp = 0;
+    base = 0;
+    len = 0;
+    pre_syms = Array.make 16 0;
+    pre_tags = Array.make 16 0;
+    pre_vals = Array.make 16 0;
+    pre_n = 0;
+  }
+
+let push fr state sym tag v =
+  let sp = fr.sp in
+  if sp = Array.length fr.states then begin
+    fr.states <- grow fr.states (sp + 1);
+    fr.syms <- grow fr.syms (sp + 1);
+    fr.tags <- grow fr.tags (sp + 1);
+    fr.vals <- grow fr.vals (sp + 1)
+  end;
+  Array.unsafe_set fr.states sp state;
+  Array.unsafe_set fr.syms sp sym;
+  Array.unsafe_set fr.tags sp tag;
+  Array.unsafe_set fr.vals sp v;
+  fr.sp <- sp + 1
+
+let prefix fr sym tag v =
+  let n = fr.pre_n in
+  if n = Array.length fr.pre_syms then begin
+    fr.pre_syms <- grow fr.pre_syms (n + 1);
+    fr.pre_tags <- grow fr.pre_tags (n + 1);
+    fr.pre_vals <- grow fr.pre_vals (n + 1)
+  end;
+  Array.unsafe_set fr.pre_syms n sym;
+  Array.unsafe_set fr.pre_tags n tag;
+  Array.unsafe_set fr.pre_vals n v;
+  fr.pre_n <- n + 1
+
+let swap (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+(* a reduction's prefixed tokens [i, j] arrived first-consumed-first;
+   the buffer is a stack with the next token on top, so reverse them *)
+let rec reverse_prefixed fr i j =
+  if i < j then begin
+    swap fr.pre_syms i j;
+    swap fr.pre_tags i j;
+    swap fr.pre_vals i j;
+    reverse_prefixed fr (i + 1) (j - 1)
   end
 
 (* Delayed error detection (comb dispatch with default reductions) can
@@ -111,23 +208,61 @@ let grow arr n ~dummy =
    error instead of a hang. *)
 let max_reductions_between_shifts = 100_000
 
-(* the stack-bottom dummy; never examined by the action lookup *)
-let bottom = { psym = min_int; pvalue = Ifl.Value.Unit }
+(* shaper convenience: integer-valued tokens are coerced to the kind the
+   grammar symbol declares (register binding, label, CSE number,
+   condition mask); returns the coerced tag *)
+let coerce (tables : Tables.t) sym tag =
+  if tag <> tag_int then tag
+  else
+    match Tables.class_of tables sym with
+    | Some (Symtab.Gpr | Symtab.Pair | Symtab.Fpr | Symtab.Fpair) -> tag_reg
+    | _ -> (
+        match Tables.kind_of tables sym with
+        | Some Symtab.Klabel -> tag_label
+        | Some Symtab.Kcse -> tag_cse
+        | Some Symtab.Kcond -> tag_cond
+        | _ -> tag)
 
-(** [parse ?dispatch tables ~reduce input] runs the table-driven parse.
+(* the value discipline: terminals must carry the declared value kind,
+   register non-terminals a register binding naming a real machine
+   register of the class (the allocator's banks are 16 general and 8
+   floating registers; pair classes cover a partner register too) *)
+let violation (tables : Tables.t) sym tag v : string option =
+  let kind_ok =
+    match Tables.kind_of tables sym with
+    | Some Symtab.Kint -> tag = tag_int || tag = tag_unit
+    | Some Symtab.Klabel -> tag = tag_label
+    | Some Symtab.Kcse -> tag = tag_cse
+    | Some Symtab.Kcond -> tag = tag_cond
+    | None -> true
+  in
+  let class_ok =
+    match Tables.class_of tables sym with
+    | Some Symtab.Gpr -> tag = tag_reg && v >= 0 && v <= 15
+    | Some Symtab.Pair -> tag = tag_reg && v >= 0 && v <= 14
+    | Some Symtab.Fpr -> tag = tag_reg && v >= 0 && v <= 7
+    | Some Symtab.Fpair -> tag = tag_reg && v >= 0 && v <= 5
+    (* a register payload on a class-less symbol is still released into
+       the general bank at reduction time, so it must be a real register
+       number *)
+    | Some (Symtab.Cc | Symtab.Noclass) | None ->
+        tag <> tag_reg || (v >= 0 && v <= 15)
+  in
+  if not kind_ok then
+    Some "token value does not match the terminal's declared kind"
+  else if not class_ok then
+    Some
+      (if tag = tag_reg then "register binding out of machine range"
+       else "register non-terminal token without a register binding")
+  else None
 
-    [reduce ~prod ~rhs ~remap] is the code emission routine: [rhs] holds
-    the popped translation-stack tokens; [remap] lets the emitter rewrite
-    register bindings on the live stack and pending input (needed when a
-    [need] directive transfers a busy register); the returned tokens are
-    prefixed to the input (first element consumed first) and must carry
-    interned symbol ids. *)
 let parse ?(dispatch = Comb) (tables : Tables.t)
     ~(reduce :
        prod:int ->
-       rhs:ptoken array ->
-       remap:((ptoken -> ptoken) -> unit) ->
-       ptoken list) (input : Ifl.Token.t list) : (outcome, error) result =
+       rhs:frame ->
+       remap:((Grammar.sym -> int -> int) -> unit) ->
+       unit)
+    (input : Ifl.Token.t list) : (outcome, error) result =
   let g = tables.Tables.grammar in
   let pt = tables.Tables.parse in
   let n_syms = Grammar.n_syms g in
@@ -136,156 +271,39 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
      variant (both allocation-free) *)
   let lookup : int -> int -> int =
     match dispatch with
-    | Comb ->
-        let c = tables.Tables.compressed in
-        Compress.dispatcher c
+    | Comb -> Compress.dispatcher tables.Tables.compressed
     | Flat ->
         let actions = pt.Parse_table.actions in
         fun state sym -> Compress.encode_action actions.(state).(sym)
   in
-  (* -- stream preparation ------------------------------------------------
-     Tokens that fail interning or the value discipline become negative
-     [psym] indices into [bad]; the parse only reports them when the
-     skeleton actually reaches them, exactly as the per-step checks did. *)
+  let fr = create_frame () in
+  (* -- the original input, read lazily --------------------------------
+     [la_*] hold the next original token once the parse has reached it;
+     [cursor] counts the originals shifted, and is the reported error
+     [position].  [at_eof] is set once the end marker has been read. *)
+  let rest = ref input in
+  let at_eof = ref false in
+  let la_loaded = ref false in
+  let la_sym = ref 0 and la_tag = ref 0 and la_val = ref 0 in
+  let cursor = ref 0 in
+  (* register remaps a [need] transfer made before a token was read, in
+     the order made (newest first); empty on every real compile *)
+  let pending : (Grammar.sym -> int -> int) list ref = ref [] in
+  (* prefixed tokens that fail interning or the value discipline get a
+     negative sym indexing [bad]; the parse reports one only when the
+     skeleton reaches it *)
   let bad : (Ifl.Token.t * string) list ref = ref [] in
   let n_bad = ref 0 in
-  let bad_ptok tok msg =
-    bad := (tok, msg) :: !bad;
-    incr n_bad;
-    { psym = - !n_bad; pvalue = tok.Ifl.Token.value }
-  in
   let bad_entry k = List.nth !bad (!n_bad - 1 - k) in
-  (* shaper convenience: integer-valued tokens are coerced to the kind
-     the grammar symbol declares (register binding, label, CSE number,
-     condition mask); then the value discipline is checked: terminals
-     must carry the declared value kind, register non-terminals a
-     register.  Applied once per token, at preparation. *)
-  let coerce sym (value : Ifl.Value.t) : Ifl.Value.t =
-    match (Tables.class_of tables sym, value) with
-    | Some (Symtab.Gpr | Symtab.Pair | Symtab.Fpr | Symtab.Fpair), Ifl.Value.Int n
-      ->
-        Ifl.Value.Reg n
-    | _ -> (
-        match (Tables.kind_of tables sym, value) with
-        | Some Symtab.Klabel, Ifl.Value.Int n -> Ifl.Value.Label n
-        | Some Symtab.Kcse, Ifl.Value.Int n -> Ifl.Value.Cse n
-        | Some Symtab.Kcond, Ifl.Value.Int n -> Ifl.Value.Cond n
-        | _ -> value)
-  in
-  (* the discipline violation of a coerced value, if any (the error
-     report carries the coerced token, as the per-step checks did) *)
-  let violation sym (value : Ifl.Value.t) : string option =
-    let kind_ok =
-      match (Tables.kind_of tables sym, value) with
-      | Some Symtab.Kint, (Ifl.Value.Int _ | Ifl.Value.Unit) -> true
-      | Some Symtab.Klabel, Ifl.Value.Label _ -> true
-      | Some Symtab.Kcse, Ifl.Value.Cse _ -> true
-      | Some Symtab.Kcond, Ifl.Value.Cond _ -> true
-      | Some _, _ -> false
-      | None, _ -> true
-    in
-    let class_ok =
-      (* the binding must also name a real machine register of the
-         class: the allocator's banks are 16 general and 8 floating
-         registers, and pair classes cover a partner register too *)
-      match (Tables.class_of tables sym, value) with
-      | Some Symtab.Gpr, Ifl.Value.Reg r -> r >= 0 && r <= 15
-      | Some Symtab.Pair, Ifl.Value.Reg r -> r >= 0 && r <= 14
-      | Some Symtab.Fpr, Ifl.Value.Reg r -> r >= 0 && r <= 7
-      | Some Symtab.Fpair, Ifl.Value.Reg r -> r >= 0 && r <= 5
-      (* a register payload on a class-less symbol is still released
-         into the general bank at reduction time, so it must be a real
-         register number *)
-      | (Some (Symtab.Cc | Symtab.Noclass) | None), Ifl.Value.Reg r ->
-          r >= 0 && r <= 15
-      | Some (Symtab.Cc | Symtab.Noclass), _ -> true
-      | Some _, _ -> false
-      | None, _ -> true
-    in
-    if not kind_ok then
-      Some "token value does not match the terminal's declared kind"
-    else if not class_ok then
-      Some
-        (match value with
-        | Ifl.Value.Reg _ -> "register binding out of machine range"
-        | _ -> "register non-terminal token without a register binding")
-    else None
-  in
-  let prepare (tok : Ifl.Token.t) : ptoken =
-    match Grammar.sym g tok.Ifl.Token.sym with
-    | None -> bad_ptok tok "symbol is not part of the machine grammar"
-    | Some sym -> (
-        let v = coerce sym tok.Ifl.Token.value in
-        match violation sym v with
-        | None -> { psym = sym; pvalue = v }
-        | Some msg -> bad_ptok { tok with Ifl.Token.value = v } msg)
-  in
-  (* the original stream, prepared in input order in a single pass; the
-     cursor below is also the reported error [position] *)
-  let orig = ref (Array.make 64 bottom) in
-  let n_orig = ref 0 in
-  let push_orig p =
-    if !n_orig = Array.length !orig then
-      orig := grow !orig (!n_orig + 1) ~dummy:bottom;
-    !orig.(!n_orig) <- p;
-    incr n_orig
-  in
-  List.iter (fun tok -> push_orig (prepare tok)) input;
-  push_orig { psym = g.Grammar.eof; pvalue = Ifl.Value.Unit };
-  let cursor = ref 0 in
-  (* reduction-prefixed tokens, a stack with the next token on top;
-     consuming an original requires this to be empty, so the reported
-     position indexes the caller's input, not the mutated stream *)
-  let pre = ref (Array.make 64 bottom) in
-  let pre_n = ref 0 in
-  let push_pre p =
-    if !pre_n = Array.length !pre then pre := grow !pre (!pre_n + 1) ~dummy:bottom;
-    !pre.(!pre_n) <- p;
-    incr pre_n
-  in
-  (* prefixed tokens arrive interned but still get the one-time coercion
-     and discipline check (no hashing; emitters normally push well-formed
-     register bindings, so this is two array reads per token) *)
-  let prepare_prefixed (p : ptoken) : ptoken =
-    if p.psym < 0 || p.psym >= n_syms then
-      bad_ptok
-        { Ifl.Token.sym = "<uninterned>"; value = p.pvalue }
-        "symbol is not part of the machine grammar"
-    else
-      let v = coerce p.psym p.pvalue in
-      match violation p.psym v with
-      | None -> if v == p.pvalue then p else { p with pvalue = v }
-      | Some msg ->
-          bad_ptok { Ifl.Token.sym = Grammar.name g p.psym; value = v } msg
-  in
-  (* the first of a reduction's prefixed tokens is consumed first, so it
-     goes on top of [pre]: the rest are pushed before it *)
-  let rec push_prefixed = function
-    | [] -> ()
-    | p :: rest ->
-        push_prefixed rest;
-        push_pre (prepare_prefixed p)
-  in
-  (* the translation/parse stack: parallel state/token arrays *)
-  let states = ref (Array.make 64 0) in
-  let toks = ref (Array.make 64 bottom) in
-  let sp = ref 0 in
-  let push state tok =
-    if !sp = Array.length !states then begin
-      states := grow !states (!sp + 1) ~dummy:0;
-      toks := grow !toks (!sp + 1) ~dummy:bottom
-    end;
-    !states.(!sp) <- state;
-    !toks.(!sp) <- tok;
-    incr sp
-  in
-  push pt.Parse_table.automaton.Lr0.start bottom;
+  push fr pt.Parse_table.automaton.Lr0.start min_int tag_unit 0;
   let shifts = ref 0 and reductions = ref 0 and max_stack = ref 1 in
   let reduce_run = ref 0 in
   let flush_metrics ~failed =
     if Metrics.enabled () then begin
       Metrics.add m_parses 1;
-      Metrics.add m_prepared !n_orig;
+      (* every input token and the end marker, read or not, as when the
+         whole input was prepared up front *)
+      Metrics.add m_prepared (List.length input + 1);
       Metrics.add m_shifts !shifts;
       Metrics.add m_reductions !reductions;
       Metrics.peak m_max_stack !max_stack;
@@ -296,15 +314,15 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
     end
   in
   let remap f =
-    for i = 0 to !sp - 1 do
-      !toks.(i) <- f !toks.(i)
+    for i = 0 to fr.sp - 1 do
+      if fr.tags.(i) = tag_reg then fr.vals.(i) <- f fr.syms.(i) fr.vals.(i)
     done;
-    for i = 0 to !pre_n - 1 do
-      !pre.(i) <- f !pre.(i)
+    for i = 0 to fr.pre_n - 1 do
+      if fr.pre_tags.(i) = tag_reg && fr.pre_syms.(i) >= 0 then
+        fr.pre_vals.(i) <- f fr.pre_syms.(i) fr.pre_vals.(i)
     done;
-    for i = !cursor to !n_orig - 1 do
-      !orig.(i) <- f !orig.(i)
-    done
+    if !la_loaded && !la_tag = tag_reg then la_val := f !la_sym !la_val;
+    pending := f :: !pending
   in
   let fail state token msg =
     (* cap the expected-symbols list during construction: the printer
@@ -325,7 +343,8 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
     in
     flush_metrics ~failed:true;
     Trace.instant "driver.error"
-      ~args:[ ("state", string_of_int state); ("position", string_of_int !cursor) ];
+      ~args:
+        [ ("state", string_of_int state); ("position", string_of_int !cursor) ];
     Error
       {
         position = !cursor;
@@ -336,75 +355,143 @@ let parse ?(dispatch = Comb) (tables : Tables.t)
         bogus_reductions = !reduce_run;
       }
   in
-  let rec loop () =
-    let state = !states.(!sp - 1) in
-    if !pre_n = 0 && !cursor >= !n_orig then
-      fail state None "input exhausted without accept"
-    else
-      let from_pre = !pre_n > 0 in
-      let tok = if from_pre then !pre.(!pre_n - 1) else !orig.(!cursor) in
-      if tok.psym < 0 then
-        let t, msg = bad_entry (-tok.psym - 1) in
-        fail state (Some t) msg
+  let token_of sym tag v =
+    Some { Ifl.Token.sym = Grammar.name g sym; value = value_of ~tag v }
+  in
+  (* the one-time coercion and discipline check of the prefixed tokens
+     [lo, pre_n) (no hashing: emitters push interned ids, normally with
+     well-formed register bindings) *)
+  let reject i tok msg =
+    bad := (tok, msg) :: !bad;
+    incr n_bad;
+    fr.pre_syms.(i) <- - !n_bad
+  in
+  let check_prefixed lo =
+    for i = lo to fr.pre_n - 1 do
+      let sym = fr.pre_syms.(i) in
+      let tag = fr.pre_tags.(i) and v = fr.pre_vals.(i) in
+      if sym < 0 || sym >= n_syms then
+        reject i
+          { Ifl.Token.sym = "<uninterned>"; value = value_of ~tag v }
+          "symbol is not part of the machine grammar"
       else
-        (* encoded entry: 0 error, 1 accept, even shift, odd reduce *)
-        let v = lookup state tok.psym in
-        if v = 0 then
-          fail state
-            (Some { Ifl.Token.sym = Grammar.name g tok.psym; value = tok.pvalue })
-            "no action (invalid IF for this machine grammar)"
-        else if v = 1 then begin
-          flush_metrics ~failed:false;
-          Ok { reductions = !reductions; shifts = !shifts; max_stack = !max_stack }
+        let tag = coerce tables sym tag in
+        fr.pre_tags.(i) <- tag;
+        match violation tables sym tag v with
+        | None -> ()
+        | Some msg ->
+            reject i
+              { Ifl.Token.sym = Grammar.name g sym; value = value_of ~tag v }
+              msg
+    done
+  in
+  let rec loop () =
+    let state = fr.states.(fr.sp - 1) in
+    if fr.pre_n > 0 then begin
+      let i = fr.pre_n - 1 in
+      let sym = fr.pre_syms.(i) in
+      if sym < 0 then
+        let t, msg = bad_entry (-sym - 1) in
+        fail state (Some t) msg
+      else step state true sym fr.pre_tags.(i) fr.pre_vals.(i)
+    end
+    else if !la_loaded then step state false !la_sym !la_tag !la_val
+    else read state
+  (* reach the next original token: intern, coerce and check it once *)
+  and read state =
+    match !rest with
+    | tok :: tl -> (
+        rest := tl;
+        let sym = Grammar.id g tok.Ifl.Token.sym in
+        if sym < 0 then
+          fail state (Some tok) "symbol is not part of the machine grammar"
+        else
+          let value = tok.Ifl.Token.value in
+          let tag = coerce tables sym (tag_of value) in
+          let v = payload_of value in
+          match violation tables sym tag v with
+          | Some msg ->
+              fail state
+                (Some { tok with Ifl.Token.value = value_of ~tag v })
+                msg
+          | None ->
+              let v =
+                if tag = tag_reg && !pending <> [] then
+                  List.fold_right (fun f v -> f sym v) !pending v
+                else v
+              in
+              la_sym := sym;
+              la_tag := tag;
+              la_val := v;
+              la_loaded := true;
+              step state false sym tag v)
+    | [] ->
+        if !at_eof then fail state None "input exhausted without accept"
+        else begin
+          at_eof := true;
+          la_sym := g.Grammar.eof;
+          la_tag := tag_unit;
+          la_val := 0;
+          la_loaded := true;
+          step state false g.Grammar.eof tag_unit 0
         end
-        else if v land 1 = 0 then begin
-          (* shift: two array writes, no allocation *)
-          push ((v - 2) / 2) tok;
-          if from_pre then decr pre_n
-          else begin
-            (* an original input token, not a reduction-prefixed one;
-               consuming it also ends any speculative reduction run
-               (synthetic LHS shifts interleave default-reduction runs,
-               so resetting on every shift would undercount the
-               speculation) *)
-            incr cursor;
-            reduce_run := 0
-          end;
-          incr shifts;
-          if !sp > !max_stack then max_stack := !sp;
+  and step state from_pre sym tag v =
+    (* encoded entry: 0 error, 1 accept, even shift, odd reduce *)
+    let a = lookup state sym in
+    if a = 0 then
+      fail state (token_of sym tag v)
+        "no action (invalid IF for this machine grammar)"
+    else if a = 1 then begin
+      flush_metrics ~failed:false;
+      Ok { reductions = !reductions; shifts = !shifts; max_stack = !max_stack }
+    end
+    else if a land 1 = 0 then begin
+      (* shift: four array writes, no allocation *)
+      push fr ((a - 2) / 2) sym tag v;
+      if from_pre then fr.pre_n <- fr.pre_n - 1
+      else begin
+        (* an original input token, not a reduction-prefixed one;
+           consuming it also ends any speculative reduction run
+           (synthetic LHS shifts interleave default-reduction runs, so
+           resetting on every shift would undercount the speculation) *)
+        la_loaded := false;
+        incr cursor;
+        reduce_run := 0
+      end;
+      incr shifts;
+      if fr.sp > !max_stack then max_stack := fr.sp;
+      loop ()
+    end
+    else begin
+      (* reduce *)
+      let p = (a - 3) / 2 in
+      incr reductions;
+      incr reduce_run;
+      if !reduce_run > max_reductions_between_shifts then
+        fail state (token_of sym tag v) "reduction livelock (invalid IF)"
+      else begin
+        let prod = Grammar.prod g p in
+        let n = Array.length prod.Grammar.rhs in
+        if n > fr.sp - 1 then
+          (* only reachable through delayed error detection *)
+          fail state (token_of sym tag v)
+            "translation stack underflow (invalid IF)"
+        else begin
+          (* the RHS stays in place above the new top of stack *)
+          let base = fr.sp - n in
+          fr.sp <- base;
+          fr.base <- base;
+          fr.len <- n;
+          let mark = fr.pre_n in
+          if Tables.is_user_prod tables p then reduce ~prod:p ~rhs:fr ~remap
+          else
+            (* augmentation production: prefix the bare LHS *)
+            prefix fr prod.Grammar.lhs tag_unit 0;
+          reverse_prefixed fr mark (fr.pre_n - 1);
+          check_prefixed mark;
           loop ()
         end
-        else begin
-          (* reduce *)
-          let p = (v - 3) / 2 in
-          incr reductions;
-          incr reduce_run;
-          if !reduce_run > max_reductions_between_shifts then
-            fail state
-              (Some { Ifl.Token.sym = Grammar.name g tok.psym; value = tok.pvalue })
-              "reduction livelock (invalid IF)"
-          else begin
-            let prod = Grammar.prod g p in
-            let n = Array.length prod.Grammar.rhs in
-            if n > !sp - 1 then
-              (* only reachable through delayed error detection *)
-              fail state
-                (Some { Ifl.Token.sym = Grammar.name g tok.psym; value = tok.pvalue })
-                "translation stack underflow (invalid IF)"
-            else begin
-              let base = !sp - n in
-              let rhs = Array.sub !toks base n in
-              sp := base;
-              if Tables.is_user_prod tables p then
-                push_prefixed (reduce ~prod:p ~rhs ~remap)
-              else
-                (* augmentation production: prefix the bare LHS *)
-                push_pre
-                  (prepare_prefixed
-                     { psym = prod.Grammar.lhs; pvalue = Ifl.Value.Unit });
-              loop ()
-            end
-          end
-        end
+      end
+    end
   in
   loop ()

@@ -58,20 +58,16 @@ type t = {
      reduction so that emission allocates only what it emits *)
   mutable allocs : int array;  (** register per [using] slot *)
   ops : Machine.Target.Operands.t;  (** operands of the instruction being built *)
-  mutable pushed : Driver.ptoken array;  (** tokens to prefix, in order *)
-  mutable n_pushed : int;
 }
-
-let no_token = { Driver.psym = -1; pvalue = Ifl.Value.Unit }
 
 let create ?(strategy = Regalloc.Lru) ?(explain = false) (tables : Tables.t)
     : t =
-  let intern n =
-    match Grammar.sym tables.Tables.grammar n with Some s -> s | None -> -1
-  in
+  let intern = Grammar.id tables.Tables.grammar in
   {
     tables;
-    regs = Regalloc.create ~strategy ();
+    regs =
+      Regalloc.create ~strategy
+        ~fp_prefix:tables.Tables.target.Machine.Target.fp_reg_prefix ();
     cse = Cse.create ();
     buf = Code_buffer.create ();
     reload_dsp = intern "dsp";
@@ -88,8 +84,6 @@ let create ?(strategy = Regalloc.Lru) ?(explain = false) (tables : Tables.t)
     cse_invalidations = 0;
     allocs = Array.make 4 0;
     ops = Machine.Target.Operands.create ();
-    pushed = Array.make 4 no_token;
-    n_pushed = 0;
   }
 
 let items t = Code_buffer.items t.buf
@@ -165,13 +159,13 @@ let rec need_class (needs : Template.need_req array) r i =
   else if needs.(i).Template.n_reg = r then needs.(i).Template.n_class
   else need_class needs r (i + 1)
 
-let rec class_of_src t (c : Template.compiled) (rhs : Driver.ptoken array)
+let rec class_of_src t (c : Template.compiled) (rhs : Driver.frame)
     (s : Template.src) : Symtab.reg_class =
   match s with
   | Template.Alloc i -> c.Template.c_allocs.(i).Template.a_class
   | Template.Phys r -> need_class c.Template.c_needs r 0
   | Template.Stack k -> (
-      match Tables.class_of t.tables rhs.(k).Driver.psym with
+      match Tables.class_of t.tables rhs.Driver.syms.(rhs.Driver.base + k) with
       | Some cls -> cls
       | None -> Symtab.Gpr)
   | Template.Plus (s, _) -> class_of_src t c rhs s
@@ -264,14 +258,10 @@ let serve_need t ~prod ~remap (req : Template.need_req) =
             (Code_buffer.Fixed
                ((target t).Machine.Target.reg_move ~fp:(bank = Regalloc.Fp)
                   ~dst:tr.Regalloc.tr_to ~src:tr.Regalloc.tr_from));
-          remap (fun (tok : Driver.ptoken) ->
-              match tok.Driver.pvalue with
-              | Ifl.Value.Reg r
-                when r = tr.Regalloc.tr_from
-                     && tok.Driver.psym >= 0
-                     && bank_of_sym t tok.Driver.psym = bank ->
-                  { tok with Driver.pvalue = Ifl.Value.Reg tr.Regalloc.tr_to }
-              | _ -> tok);
+          remap (fun sym r ->
+              if r = tr.Regalloc.tr_from && bank_of_sym t sym = bank then
+                tr.Regalloc.tr_to
+              else r);
           Hashtbl.iter
             (fun _ (e : Cse.entry) ->
               match e.Cse.residence with
@@ -282,25 +272,17 @@ let serve_need t ~prod ~remap (req : Template.need_req) =
 
 (* -- template interpretation ------------------------------------------------ *)
 
-let rec eval t (rhs : Driver.ptoken array) (s : Template.src) : int =
+let rec eval t (rhs : Driver.frame) (s : Template.src) : int =
   match s with
-  | Template.Stack k -> (
-      match rhs.(k).Driver.pvalue with
-      | Ifl.Value.Unit -> err "template references valueless RHS slot %d" k
-      | v -> Ifl.Value.to_int v)
+  | Template.Stack k ->
+      let i = rhs.Driver.base + k in
+      if rhs.Driver.tags.(i) = Driver.tag_unit then
+        err "template references valueless RHS slot %d" k
+      else rhs.Driver.vals.(i)
   | Template.Alloc i -> t.allocs.(i)
   | Template.Phys r -> r
   | Template.Lit n -> n
   | Template.Plus (s, k) -> eval t rhs s + k
-
-let push t sym value =
-  if t.n_pushed = Array.length t.pushed then begin
-    let pushed = Array.make (2 * t.n_pushed) no_token in
-    Array.blit t.pushed 0 pushed 0 t.n_pushed;
-    t.pushed <- pushed
-  end;
-  t.pushed.(t.n_pushed) <- { Driver.psym = sym; pvalue = value };
-  t.n_pushed <- t.n_pushed + 1
 
 module Ops = Machine.Target.Operands
 
@@ -332,15 +314,13 @@ let build_insn t (mnem : string) : Machine.Insn.t =
 
 (* RHS slots holding register [r] of [bank]: the production's own claims
    on a register a [modifies] is about to destroy *)
-let claims t (rhs : Driver.ptoken array) bank r =
+let claims t (rhs : Driver.frame) bank r =
   let n = ref 0 in
-  for i = 0 to Array.length rhs - 1 do
-    match rhs.(i).Driver.pvalue with
-    | Ifl.Value.Reg r' when r' = r -> (
-        match Tables.class_of t.tables rhs.(i).Driver.psym with
-        | Some cls when Regalloc.bank_of_class cls = bank -> incr n
-        | _ -> ())
-    | _ -> ()
+  for i = rhs.Driver.base to rhs.Driver.base + rhs.Driver.len - 1 do
+    if rhs.Driver.tags.(i) = Driver.tag_reg && rhs.Driver.vals.(i) = r then
+      match Tables.class_of t.tables rhs.Driver.syms.(i) with
+      | Some cls when Regalloc.bank_of_class cls = bank -> incr n
+      | _ -> ()
   done;
   !n
 
@@ -363,7 +343,8 @@ let modifies t ~prod (c : Template.compiled) rhs (src : Template.src) =
           (Code_buffer.Fixed
              ((target t).Machine.Target.reg_move ~fp:(bank = Regalloc.Fp)
                 ~dst:fresh ~src:r));
-        rhs.(k) <- { (rhs.(k)) with Driver.pvalue = Ifl.Value.Reg fresh };
+        rhs.Driver.tags.(rhs.Driver.base + k) <- Driver.tag_reg;
+        rhs.Driver.vals.(rhs.Driver.base + k) <- fresh;
         Regalloc.release t.regs bank r
       end
   | _ -> ());
@@ -402,7 +383,7 @@ let find_common t rhs (cse : Template.src) push_sym =
           Regalloc.consume_cse_share t.regs
             (if entry.Cse.fp then Regalloc.Fp else Regalloc.Gp)
             r;
-          push t push_sym (Ifl.Value.Reg r)
+          Driver.prefix rhs push_sym Driver.tag_reg r
       | Cse.In_mem -> (
           t.cse_reloads <- t.cse_reloads + 1;
           match entry.Cse.ty with
@@ -410,9 +391,9 @@ let find_common t rhs (cse : Template.src) push_sym =
           | Some ty ->
               (* prefix the address of the temporary; the ordinary load
                  productions bring it back *)
-              push t ty Ifl.Value.Unit;
-              push t t.reload_dsp (Ifl.Value.Int entry.Cse.temp_dsp);
-              push t t.reload_reg (Ifl.Value.Reg entry.Cse.temp_base)))
+              Driver.prefix rhs ty Driver.tag_unit 0;
+              Driver.prefix rhs t.reload_dsp Driver.tag_int entry.Cse.temp_dsp;
+              Driver.prefix rhs t.reload_reg Driver.tag_reg entry.Cse.temp_base))
 
 (* one step of a production's template sequence *)
 let step t ~prod (c : Template.compiled) rhs (st : Template.step) =
@@ -462,7 +443,8 @@ let step t ~prod (c : Template.compiled) rhs (st : Template.step) =
              lbl = Code_buffer.User (eval t rhs lbl);
              idx = eval t rhs idx;
            })
-  | Template.Push { sym; value } -> push t sym (Ifl.Value.Reg (eval t rhs value))
+  | Template.Push { sym; value } ->
+      Driver.prefix rhs sym Driver.tag_reg (eval t rhs value)
   | Template.Ibm_length src ->
       let v = eval t rhs src in
       if v < 1 || v > 256 then
@@ -506,24 +488,22 @@ let describe t prod (c : Template.compiled) =
     (Grammar.prod_to_string g (Grammar.prod g prod))
     (match dirs with [] -> "" | ds -> "  [" ^ String.concat "; " ds ^ "]")
 
-let rec pushed_tokens t i acc =
-  if i < 0 then acc else pushed_tokens t (i - 1) (t.pushed.(i) :: acc)
-
 (** Code emission for one reduction.  Matches {!Driver.parse}'s [reduce]
-    callback signature: the popped tokens arrive already interned, and
-    every token pushed back carries its grammar id directly — the
-    emission path never touches a symbol name.
+    callback signature: the popped tokens are read in place from the
+    driver's frame, already interned, and every token prefixed back goes
+    into the frame's prefix buffer with its grammar id — the emission
+    path never touches a symbol name.
 
     {b Memory discipline.}  The reduction interprets its compiled
     template in place: operand values go through the emitter's reusable
-    {!Machine.Target.Operands} buffer, allocated registers and prefixed
-    tokens through reusable scratch arrays, and no closure, list or
-    diagnostic string is built per reduction.  What it allocates is
-    what it emits — the code-buffer items and the prefixed tokens (and
-    the returned list holding them); pressure messages and [--explain]
-    notes are rendered only on those paths. *)
-let reduce (t : t) ~(prod : int) ~(rhs : Driver.ptoken array)
-    ~(remap : (Driver.ptoken -> Driver.ptoken) -> unit) : Driver.ptoken list =
+    {!Machine.Target.Operands} buffer, allocated registers through a
+    reusable scratch array, prefixed tokens as ints into the driver's
+    buffer, and no closure, list or diagnostic string is built per
+    reduction.  What it allocates is what it emits — the code-buffer
+    items; pressure messages and [--explain] notes are rendered only on
+    those paths. *)
+let reduce (t : t) ~(prod : int) ~(rhs : Driver.frame)
+    ~(remap : (Grammar.sym -> int -> int) -> unit) : unit =
   let c =
     match Tables.compiled t.tables prod with
     | Some c -> c
@@ -544,7 +524,7 @@ let reduce (t : t) ~(prod : int) ~(rhs : Driver.ptoken array)
   done;
   (* 2./3. fill in required values while interpreting the template
      sequence *)
-  t.n_pushed <- 0;
+  let mark = rhs.Driver.pre_n in
   let steps = c.Template.c_steps in
   for i = 0 to Array.length steps - 1 do
     step t ~prod c rhs steps.(i)
@@ -552,25 +532,23 @@ let reduce (t : t) ~(prod : int) ~(rhs : Driver.ptoken array)
   (* 4. prefix LHS to input stream *)
   (match c.Template.c_push with
   | Some { push_sym; push_src } ->
-      push t push_sym (Ifl.Value.Reg (eval t rhs push_src))
+      Driver.prefix rhs push_sym Driver.tag_reg (eval t rhs push_src)
   | None ->
       let g = t.tables.Tables.grammar in
       if (Grammar.prod g prod).Grammar.lhs = g.Grammar.lambda then
-        push t g.Grammar.lambda Ifl.Value.Unit);
+        Driver.prefix rhs g.Grammar.lambda Driver.tag_unit 0);
   (* 5. liveness: retain pushed registers, then release consumed RHS
      occurrences and the scratch allocations *)
-  for i = 0 to t.n_pushed - 1 do
-    let tok = t.pushed.(i) in
-    match tok.Driver.pvalue with
-    | Ifl.Value.Reg r when tok.Driver.psym >= 0 ->
-        Regalloc.retain t.regs (bank_of_sym t tok.Driver.psym) r
-    | _ -> ()
+  for i = mark to rhs.Driver.pre_n - 1 do
+    let sym = rhs.Driver.pre_syms.(i) in
+    if rhs.Driver.pre_tags.(i) = Driver.tag_reg && sym >= 0 then
+      Regalloc.retain t.regs (bank_of_sym t sym) rhs.Driver.pre_vals.(i)
   done;
-  for k = 0 to Array.length rhs - 1 do
-    match rhs.(k).Driver.pvalue with
-    | Ifl.Value.Reg r ->
-        Regalloc.release t.regs (bank_of_sym t rhs.(k).Driver.psym) r
-    | _ -> ()
+  for i = rhs.Driver.base to rhs.Driver.base + rhs.Driver.len - 1 do
+    if rhs.Driver.tags.(i) = Driver.tag_reg then
+      Regalloc.release t.regs
+        (bank_of_sym t rhs.Driver.syms.(i))
+        rhs.Driver.vals.(i)
   done;
   for i = 0 to n_allocs - 1 do
     Regalloc.release_allocation t.regs allocs.(i).Template.a_class t.allocs.(i)
@@ -580,8 +558,7 @@ let reduce (t : t) ~(prod : int) ~(rhs : Driver.ptoken array)
     Regalloc.release t.regs
       (Regalloc.bank_of_class req.Template.n_class)
       req.Template.n_reg
-  done;
-  pushed_tokens t (t.n_pushed - 1) []
+  done
 
 (** Finish the module: resolve labels and branches and emit loader
     records. *)

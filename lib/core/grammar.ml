@@ -31,6 +31,12 @@ type t = {
 
 let name g s = g.names.(s)
 let sym g n = Hashtbl.find_opt g.index n
+
+(* [sym] without the option: the id, or -1 for a name outside the
+   grammar; allocates nothing on either path *)
+let id g n =
+  match Hashtbl.find g.index n with s -> s | exception Not_found -> -1
+
 let n_syms g = Array.length g.names
 let n_prods g = Array.length g.prods
 let prod g i = g.prods.(i)

@@ -76,6 +76,7 @@ type t = {
   pair_pool : int array;
   fpr_pool : int array;
   fpair_pool : int array;
+  fp_prefix : char;
   mutable global_index : int;
   mutable cursor : int;
   stats : stats;
@@ -83,7 +84,7 @@ type t = {
 
 exception Pressure of string
 
-let create ?(config = default_config) ?(strategy = Lru) () =
+let create ?(config = default_config) ?(strategy = Lru) ?(fp_prefix = 'r') () =
   let mk n = Array.init n (fun _ ->
       { busy = false; use_count = 0; usage_index = 0; cse = None;
         cse_shares = 0 })
@@ -97,6 +98,7 @@ let create ?(config = default_config) ?(strategy = Lru) () =
     pair_pool = Array.of_list config.pair_pool;
     fpr_pool = Array.of_list config.fpr_pool;
     fpair_pool = Array.of_list config.fpair_pool;
+    fp_prefix;
     global_index = 0;
     cursor = 0;
     stats =
@@ -301,7 +303,12 @@ type evicted = { ev_cse : int; ev_reg : int }
 (* diagnosable exhaustion: name the class, its pool, and what each member
    is holding (use counts, CSE bindings); built only when raised *)
 let pressure_message t cls =
-  let regs = regs t (bank_of_class cls) in
+  let bank = bank_of_class cls in
+  let regs = regs t bank in
+  (* registers named as the target's listing names them *)
+  let name r =
+    Fmt.str "%c%d" (match bank with Gp -> 'r' | Fp -> t.fp_prefix) r
+  in
   let pool = Array.to_list (pool t cls) in
   let members =
     List.sort_uniq compare (List.concat_map (covered cls) pool)
@@ -313,7 +320,7 @@ let pressure_message t cls =
         if not st.busy then None
         else
           Some
-            (Fmt.str "r%d:uses=%d%s" i st.use_count
+            (Fmt.str "%s:uses=%d%s" (name i) st.use_count
                (match st.cse with
                | Some c -> Fmt.str "[cse %d]" c
                | None -> "")))
@@ -321,8 +328,7 @@ let pressure_message t cls =
   in
   Fmt.str "no %a register available: pool {%s} holds only live values (%s)"
     Symtab.pp_reg_class cls
-    (String.concat " "
-       (List.map (fun r -> "r" ^ string_of_int r) pool))
+    (String.concat " " (List.map name pool))
     (String.concat ", " holding)
 
 (* the CSE register [i] holds, if any, consed onto [rest] *)

@@ -59,6 +59,7 @@ type t = private {
   pair_pool : int array;
   fpr_pool : int array;
   fpair_pool : int array;
+  fp_prefix : char;  (** how messages name a floating register *)
   mutable global_index : int;
   mutable cursor : int;
   stats : stats;
@@ -75,7 +76,11 @@ and reg = {
 exception Pressure of string
 (** No register can be allocated: the pool holds only live values. *)
 
-val create : ?config:config -> ?strategy:strategy -> unit -> t
+val create :
+  ?config:config -> ?strategy:strategy -> ?fp_prefix:char -> unit -> t
+(** [fp_prefix] (default ['r']) is the letter a {!Pressure} message names
+    a floating-point register with, as the target's listing does;
+    general registers are always [rN]. *)
 
 val begin_reduction : t -> unit
 (** Bump the global usage index; called once per reduction. *)

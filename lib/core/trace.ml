@@ -68,6 +68,20 @@ let instant ?(cat = "cogg") ?(args = []) name =
    so the mutex'd lookup inside Metrics.sum is off any hot path *)
 let span_metric name = Metrics.sum ("phase." ^ name ^ ".us")
 
+let add_total ?(cat = "cogg") name ~ts ~dur =
+  if enabled () then
+    record
+      {
+        ev_name = name;
+        ev_cat = cat;
+        ev_ph = 'X';
+        ev_ts = ts;
+        ev_dur = dur;
+        ev_tid = (Domain.self () :> int);
+        ev_args = [];
+      };
+  if Metrics.enabled () then Metrics.add (span_metric name) (int_of_float dur)
+
 let with_span ?(cat = "cogg") ?(args = []) name (f : unit -> 'a) : 'a =
   let t_on = enabled () and m_on = Metrics.enabled () in
   if not (t_on || m_on) then f ()

@@ -26,6 +26,16 @@ val with_span : ?cat:string -> ?args:(string * string) list -> string -> (unit -
     ["phase.<name>.us"] {!Metrics} counter when metrics are enabled —
     with or without tracing, so [--stats] alone reports phase times. *)
 
+val now_us : unit -> float
+(** Microseconds since the trace epoch: the clock spans are timed by. *)
+
+val add_total : ?cat:string -> string -> ts:float -> dur:float -> unit
+(** [add_total name ~ts ~dur] reports [dur] microseconds summed over
+    many short intervals, the first starting at [ts], as one span: a
+    complete ('X') event when tracing (it covers [ts, ts + dur], inside
+    whatever span the intervals fell in), and [dur] added to the
+    ["phase.<name>.us"] counter when metrics are enabled. *)
+
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
 (** Record a zero-duration ('i') event. *)
 

@@ -14,17 +14,19 @@ let children (Node (_, cs)) = cs
 
 let rec size (Node (_, cs)) = 1 + List.fold_left (fun a c -> a + size c) 0 cs
 
-let rec linearize_into acc (Node (t, cs)) =
-  let acc = t :: acc in
-  List.fold_left linearize_into acc cs
+(* the prefix order built right to left: a tree's children are
+   linearized onto the tokens that follow them, then the tree's own
+   token goes in front, so each token is consed once and the result
+   needs no reversal *)
+let rec linearize_onto (Node (t, cs)) rest =
+  t :: List.fold_right linearize_onto cs rest
 
 (** Prefix (Polish) linearization of one tree. *)
-let linearize t = List.rev (linearize_into [] t)
+let linearize t = linearize_onto t []
 
 (** Linearize a program: a sequence of statement trees becomes one token
     stream, statement by statement. *)
-let linearize_program ts =
-  List.rev (List.fold_left linearize_into [] ts)
+let linearize_program ts = List.fold_right linearize_onto ts []
 
 let rec pp ppf (Node (t, cs)) =
   match cs with

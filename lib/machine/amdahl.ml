@@ -143,6 +143,7 @@ let target : Target.t =
     site_model = Target.Span_dependent;
     spill_store;
     reg_move;
+    fp_reg_prefix = 'r';
     abort_insns;
     boot = Runtime.boot;
     run = Runtime.run;

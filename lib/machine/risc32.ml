@@ -313,6 +313,7 @@ let target : Target.t =
     site_model = Target.Pc_relative;
     spill_store;
     reg_move;
+    fp_reg_prefix = 'f';
     abort_insns;
     boot;
     run;

@@ -80,6 +80,9 @@ type t = {
       (** store an evicted CSE register to its temporary *)
   reg_move : fp:bool -> dst:int -> src:int -> Insn.t;
       (** register-to-register copy (need transfers, copy-on-write) *)
+  fp_reg_prefix : char;
+      (** the letter the listing names a floating-point register with,
+          before its number (general registers are always [rN]) *)
   abort_insns : errno:int -> Insn.t list;
       (** the [abort] semop: pass [errno] to the runtime abort routine *)
   boot : ?layout:Runtime.layout -> Objmod.t -> (Sim.t * int, string) result;

@@ -132,6 +132,121 @@ let test_need_transfer_in_code () =
   in
   check_int "trunc(5.0) + trunc(2.0+3.0)" 10 (Util.read_local r 0)
 
+(* -- need transfer: the remap reaches every place a binding can sit ------------------ *)
+
+(* A small amdahl470 machine whose [grab] needs r1 and then clobbers it
+   with 7.  Under the first-free strategy the first value loaded goes to
+   r1, so a [grab] while r1 holds a live value must move it (lr) and
+   rebind every token naming r1: on the translation stack, among the
+   tokens a reduction prefixed and still waiting to be read, and in the
+   input not yet read.  A binding the remap missed reads whatever r1
+   holds next: 7, or the result register [plus] reuses it as, which
+   [plus] loads from its right operand first. *)
+let need_spec =
+  {|
+$Non-terminals
+ r = gpr
+$Terminals
+ dsp = displacement
+$Operators
+ fullword, assign, plus, grab, dup, copy, procedure_entry, procedure_exit
+$Opcodes
+ l, st, lr, ar, la, stm, lm, bal, bcr
+$Constants
+ zero = 0; seven = 7; unconditional = 15; entry_code = 256;
+ save_area = 8; old_base = 4; stack_base = 13; pr_base = 10
+$Productions
+lambda ::= assign fullword dsp.1 r.1 r.2
+ st    r.2,dsp.1(zero,r.1)
+
+r.2 ::= fullword dsp.1 r.1
+ using r.2
+ l     r.2,dsp.1(zero,r.1)
+
+r.3 ::= plus r.1 r.2
+ using r.3
+ lr    r.3,r.2
+ ar    r.3,r.1
+
+r.2 ::= copy r.1
+ using r.2
+ lr    r.2,r.1
+
+r.1 ::= dup r.1
+ push_even r.1
+ push_even r.1
+ ignore_lhs
+
+r.3 ::= grab r.2
+ need  r.1
+ using r.3
+ lr    r.3,r.2
+ la    r.1,seven(zero,zero)
+
+lambda ::= procedure_entry
+ need  r.14,r.15
+ stm   r.14,stack_base,save_area(stack_base)
+ bal   r.14,entry_code(pr_base)
+
+lambda ::= procedure_exit
+ need  r.14
+ l     stack_base,old_base(stack_base)
+ lm    r.14,stack_base,save_area(stack_base)
+ bcr   unconditional,r.14
+|}
+
+let need_tables =
+  lazy
+    (match Cogg.Cogg_build.build_string need_spec with
+    | Ok t -> t
+    | Error es ->
+        Alcotest.failf "need spec failed to build: %a"
+          (Fmt.list Cogg.Cogg_build.pp_error)
+          es)
+
+(* x0 := [body], with x1 = 40 and x2 = 2; the allocator must report the
+   transfer, so the remap was exercised and not sidestepped *)
+let run_need body =
+  let r =
+    Util.compile_and_run ~strategy:Cogg.Regalloc.First_free
+      ~locals:[ (1, 40); (2, 2) ]
+      (Lazy.force need_tables)
+      (Util.prog (Printf.sprintf "assign fullword dsp:%s r:13 %s" (d 0) body))
+  in
+  check_int "r1 moved to a fresh register" 1
+    r.Util.genresult.Cogg.Codegen.alloc_stats.Cogg.Regalloc.n_transfers;
+  Util.read_local r 0
+
+let test_need_remaps_stack () =
+  (* x1 sits in r1 on the stack, as plus's left operand, when grab runs *)
+  check_int "x1 + x2" 42
+    (run_need
+       (Printf.sprintf "plus fullword dsp:%s r:13 grab fullword dsp:%s r:13"
+          (d 1) (d 2)))
+
+let test_need_remaps_prefixed () =
+  (* dup prefixes r1 twice; grab reduces with the second copy still
+     waiting in the prefix buffer *)
+  check_int "x1 + x1" 80
+    (run_need (Printf.sprintf "plus grab dup fullword dsp:%s r:13" (d 1)))
+
+let test_need_remaps_lookahead () =
+  (* the same r:1, read already: it is the lookahead grab reduces on *)
+  check_int "(x1 + x2) + x1" 82
+    (run_need
+       (Printf.sprintf
+          "plus plus fullword dsp:%s r:13 grab fullword dsp:%s r:13 r:1"
+          (d 1) (d 2)))
+
+let test_need_remaps_unread_input () =
+  (* the closing r:1 names the value r1 holds, x1; grab runs while
+     [copy] is the lookahead, so that token has not been read yet *)
+  check_int "(x1 + x2) + x1" 82
+    (run_need
+       (Printf.sprintf
+          "plus plus fullword dsp:%s r:13 grab fullword dsp:%s r:13 copy r:1"
+          (d 1) (d 2)))
+
 (* -- CSE eviction under register pressure ---------------------------------------- *)
 
 let test_cse_evicted_and_reloaded () =
@@ -202,6 +317,14 @@ let () =
           Alcotest.test_case "quad arithmetic" `Quick test_quad_arithmetic;
           Alcotest.test_case "quad conversions" `Quick test_quad_conversions;
           Alcotest.test_case "need transfer" `Quick test_need_transfer_in_code;
+          Alcotest.test_case "need remaps the stack" `Quick
+            test_need_remaps_stack;
+          Alcotest.test_case "need remaps prefixed tokens" `Quick
+            test_need_remaps_prefixed;
+          Alcotest.test_case "need remaps the lookahead" `Quick
+            test_need_remaps_lookahead;
+          Alcotest.test_case "need remaps unread input" `Quick
+            test_need_remaps_unread_input;
           Alcotest.test_case "cse eviction reload" `Quick
             test_cse_evicted_and_reloaded;
           Alcotest.test_case "statement records" `Quick test_statement_records;

@@ -541,6 +541,48 @@ let test_emit_pressure_text_exact () =
          (r ::= word d)"
         m
 
+(* The same diagnostic on the floating bank, on each shipped target: a
+   right-nested [radd] chain whose left operands are themselves sums,
+   so each holds a live floating register, exhausts the four-register
+   pool.  The message names the registers as that target's listing
+   does: amdahl470 writes r0..r6, RISC-32 f0..f6. *)
+let fp_pressure_if =
+  let word i = Printf.sprintf "dblrealword dsp:%d r:13" (80 + (8 * i)) in
+  let rec chain i =
+    if i > 5 then word 20
+    else
+      Printf.sprintf "radd radd %s %s %s" (word (2 * i)) (word ((2 * i) + 1))
+        (chain (i + 1))
+  in
+  Util.prog (Printf.sprintf "assign %s %s" (word 0) (chain 1))
+
+let fp_pressure_text =
+  [
+    ( "amdahl470",
+      "code emission failed: no fpr register available: pool {r0 r2 r4 r6} \
+       holds only live values (r0:uses=1, r2:uses=1, r4:uses=1, r6:uses=1) — \
+       while serving 'using fpr' of production 132 (f ::= dblrealword dsp r)"
+    );
+    ( "risc32",
+      "code emission failed: no fpr register available: pool {f0 f2 f4 f6} \
+       holds only live values (f0:uses=1, f2:uses=1, f4:uses=1, f6:uses=1) — \
+       while serving 'using fpr' of production 138 (f ::= radd dblrealword \
+       dsp r f)" );
+  ]
+
+let fp_pressure_cases =
+  List.map
+    (fun (target, expected) ->
+      Alcotest.test_case
+        (Printf.sprintf "fp pressure text is exact (%s)" target)
+        `Quick
+        (fun () ->
+          let tables = Util.tables target in
+          match Cogg.Codegen.generate_string tables fp_pressure_if with
+          | Ok _ -> Alcotest.fail "expected floating register pressure"
+          | Error m -> Alcotest.(check string) "pressure text" expected m))
+    fp_pressure_text
+
 let () =
   Alcotest.run "regalloc"
     [
@@ -577,7 +619,8 @@ let () =
           Alcotest.test_case "touch reports binding" `Quick test_touch_reports_cse;
           Alcotest.test_case "pressure text is exact" `Quick
             test_emit_pressure_text_exact;
-        ] );
+        ]
+        @ fp_pressure_cases );
       ( "selector",
         [
           Alcotest.test_case "matches the list-based reference" `Quick

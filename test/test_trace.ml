@@ -206,6 +206,37 @@ let test_codegen_layer_spans () =
       in
       ordered spans)
 
+(* The emitter's share of the driver: one [emit] event summing the time
+   inside Emit.reduce, lying within the [driver] span, and its phase
+   counter; with tracing on only, the counter stays off and the event
+   is still there. *)
+let test_emit_accumulated_in_driver () =
+  let t = tables () in
+  let compile () =
+    match Pipeline.compile t Pipeline.Programs.gcd with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m
+  in
+  with_observability ~metrics:true ~trace:true (fun () ->
+      compile ();
+      let events = Cogg.Trace.events () in
+      let driver = find_event events "driver" in
+      let emit = find_event events "emit" in
+      Alcotest.(check string) "emit category" "codegen" emit.Cogg.Trace.ev_cat;
+      Alcotest.(check bool) "emit lies within driver" true
+        (emit.Cogg.Trace.ev_ts >= driver.Cogg.Trace.ev_ts
+        && emit.Cogg.Trace.ev_ts +. emit.Cogg.Trace.ev_dur
+           <= driver.Cogg.Trace.ev_ts +. driver.Cogg.Trace.ev_dur +. 0.5);
+      Alcotest.(check bool) "emit feeds phase.emit.us" true
+        (List.mem_assoc "phase.emit.us" (Cogg.Metrics.snapshot ())));
+  with_observability ~trace:true (fun () ->
+      compile ();
+      ignore (find_event (Cogg.Trace.events ()) "emit"));
+  with_observability (fun () ->
+      compile ();
+      Alcotest.(check int) "nothing recorded when off" 0
+        (Cogg.Trace.event_count ()))
+
 (* A miniature JSON reader, enough to validate what Trace.to_json_string
    writes (objects, arrays, strings with escapes, numbers, literals).
    Raises [Exit] on the first malformed byte. *)
@@ -368,6 +399,8 @@ let () =
           Alcotest.test_case "JSON well-formed" `Quick test_json_well_formed;
           Alcotest.test_case "codegen spans named like the bench layers" `Quick
             test_codegen_layer_spans;
+          Alcotest.test_case "emit accumulated inside driver" `Quick
+            test_emit_accumulated_in_driver;
         ] );
       ( "explain",
         [
