@@ -19,8 +19,10 @@
    - line 2: minor words per [Pipeline.compile] pass over the eight
      examples/programs, CSE on — end to end, so an allocation blow-up
      upstream of codegen (front end, shaper, CSE optimizer, linearize)
-     trips it too.  A pass measures about 360k words (415k before the
-     driver read its input lazily into int arrays); the string-keyed
+     trips it too.  A pass measures about 180k words (360k before the
+     CSE optimizer returned statements without a repeated candidate
+     untouched, 415k before the driver read its input lazily into int
+     arrays); the string-keyed
      CSE optimizer an earlier budget replaced took 6.64M, so a return to
      per-node subtree keys would trip it many times over;
    - line 3: minor words per [Codegen.generate] pass over sixteen seeded

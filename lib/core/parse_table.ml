@@ -47,7 +47,21 @@ let pp_conflict g ppf c =
     | `Reduce_reduce -> "reduce/reduce")
     (pp_action g) c.c_chosen (pp_action g) c.c_dropped
 
-(** Resolve two competing actions; returns (winner, conflict record). *)
+(* One value per distinct action.  A table has tens of thousands of
+   shift and reduce entries but only [n_states + n_prods] distinct ones;
+   a row that holds the shared values instead of a box per entry halves
+   the table's memory, and with it a long-lived part of every process
+   that compiles. *)
+let interner ~n_states ~n_prods =
+  let shifts = Array.init n_states (fun s -> Shift s)
+  and reduces = Array.init n_prods (fun p -> Reduce p) in
+  function
+  | Shift s when s >= 0 && s < n_states -> shifts.(s)
+  | Reduce p when p >= 0 && p < n_prods -> reduces.(p)
+  | a -> a
+
+(** Resolve two competing actions; returns (winner, conflict record).
+    The winner is one of the two values given, never a copy. *)
 let resolve g state sym a b : action * conflict option =
   if a = b then (a, None)
   else
@@ -64,32 +78,33 @@ let resolve g state sym a b : action * conflict option =
               c_chosen = Accept;
               c_dropped = x;
             } )
-    | Shift s, Reduce r | Reduce r, Shift s ->
-        ( Shift s,
+    | (Shift _ as shift), (Reduce _ as reduce)
+    | (Reduce _ as reduce), (Shift _ as shift) ->
+        ( shift,
           Some
             {
               c_state = state;
               c_sym = sym;
               c_kind = `Shift_reduce;
-              c_chosen = Shift s;
-              c_dropped = Reduce r;
+              c_chosen = shift;
+              c_dropped = reduce;
             } )
     | Reduce p, Reduce q ->
         let len i = Array.length (Grammar.prod g i).rhs in
         let winner, loser =
-          if len p > len q then (p, q)
-          else if len q > len p then (q, p)
-          else if p < q then (p, q)
-          else (q, p)
+          if len p > len q then (a, b)
+          else if len q > len p then (b, a)
+          else if p < q then (a, b)
+          else (b, a)
         in
-        ( Reduce winner,
+        ( winner,
           Some
             {
               c_state = state;
               c_sym = sym;
               c_kind = `Reduce_reduce;
-              c_chosen = Reduce winner;
-              c_dropped = Reduce loser;
+              c_chosen = winner;
+              c_dropped = loser;
             } )
     | Shift s1, Shift s2 ->
         (* impossible in a deterministic LR(0) automaton *)
@@ -102,6 +117,7 @@ let build ?pool ?(mode = Lookahead.Slr) (a : Lr0.t) : t =
   let an = Grammar.analyze g in
   let n_syms = Grammar.n_syms g in
   let reds = Lookahead.reductions ?pool a an mode in
+  let shared = interner ~n_states:(Lr0.n_states a) ~n_prods:(Grammar.n_prods g) in
   (* Each state's row depends only on that state's transitions and
      reductions, so the fill maps over the pool one state at a time.
      Conflicts are collected per state and concatenated in state order
@@ -123,14 +139,14 @@ let build ?pool ?(mode = Lookahead.Slr) (a : Lr0.t) : t =
         if sym = g.Grammar.eof then
           (* the goal item shifts eof; that is acceptance *)
           set sym Accept
-        else set sym (Shift dst))
+        else set sym (shared (Shift dst)))
       st.Lr0.transitions;
     (* reductions *)
     List.iter
       (fun (p, las) ->
         Grammar.Symset.iter
           (fun sym ->
-            if sym >= 0 && sym <> g.Grammar.goal then set sym (Reduce p))
+            if sym >= 0 && sym <> g.Grammar.goal then set sym (shared (Reduce p)))
           las)
       reds.(st.Lr0.id);
     (row, List.rev !conflicts)

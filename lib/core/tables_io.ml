@@ -540,7 +540,12 @@ let read (s : string) : Tables.t =
   in
   (* parse table *)
   let n_states = r_i32 r in
-  let actions = Array.init n_states (fun _ -> r_arr r r_action) in
+  let shared =
+    Parse_table.interner ~n_states ~n_prods:(Grammar.n_prods grammar)
+  in
+  let actions =
+    Array.init n_states (fun _ -> r_arr r (fun r -> shared (r_action r)))
+  in
   let start = r_i32 r in
   let conflicts = r_list r r_conflict in
   let compressed = r_compress r in

@@ -242,6 +242,83 @@ let test_cse_linear () =
        at n = 128 (ratio %.2f > 2.5)"
       w64 w128 ratio
 
+(* A statement whose candidates all differ is returned as it is, and the
+   hashing scan that decides so allocates nothing: each further such
+   statement costs the optimizer only its cell in the result list, never
+   a table or an annotated copy.  Allocation is deterministic. *)
+let test_cse_skips_unrepeated () =
+  let program n =
+    shape
+      (Fmt.str "program p; var a, x : integer; begin %s end."
+         (String.concat "; " (List.init n (Fmt.str "x := a * %d"))))
+  in
+  let words sh =
+    let once () =
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (optimize sh));
+      Gc.minor_words () -. w0
+    in
+    List.fold_left min infinity (List.init 3 (fun _ -> once ()))
+  in
+  let sh = program 64 in
+  let opt = optimize sh in
+  check_int "no make_common" 0 (count_op "make_common" opt);
+  List.iter2
+    (fun a b -> Alcotest.(check bool) "statement returned as it is" true (a == b))
+    sh.Shaper.Irgen.trees opt.Shaper.Irgen.trees;
+  let n_trees sh = List.length sh.Shaper.Irgen.trees in
+  let big = program 128 in
+  let per_statement =
+    (words big -. words sh) /. float_of_int (n_trees big - n_trees sh)
+  in
+  if per_statement > 4. then
+    Alcotest.failf "%.1f words per unrepeated statement (> 4)" per_statement
+
+(* Classes are interned on a hash and confirmed by structure: two loads
+   whose displacements hash alike send the statement through the full
+   pass, and there they stay two classes. *)
+let test_cse_hash_collision () =
+  let dsp i = Ifl.Token.int "dsp" i in
+  let seen = Hashtbl.create 4096 in
+  let rec search i =
+    let h = Hashtbl.hash (dsp i) in
+    match Hashtbl.find_opt seen h with
+    | Some j -> (j, i)
+    | None ->
+        Hashtbl.add seen h i;
+        search (i + 1)
+  in
+  let i, j = search 0 in
+  let load d =
+    Tree.node "fullword"
+      [ Tree.Node (dsp d, []); Tree.Node (Ifl.Token.reg "r" 13, []) ]
+  in
+  let assign rhs = Tree.node "assign" [ load 0; rhs ] in
+  let run trees =
+    let sh = shape "program p; var x : integer; begin x := 0 end." in
+    optimize { sh with Shaper.Irgen.trees }
+  in
+  let distinct = run [ assign (Tree.node "iadd" [ load i; load j ]) ] in
+  check_int "colliding loads: no make_common" 0 (count_op "make_common" distinct);
+  let repeated =
+    run [ assign (Tree.node "iadd" [ Tree.node "iadd" [ load i; load j ]; load i ]) ]
+  in
+  check_int "the repeat is commoned" 1 (count_op "make_common" repeated);
+  check_int "once" 1 (count_op "use_common" repeated);
+  (* the colliding load is left in place *)
+  let dsps =
+    List.concat_map
+      (fun t ->
+        let rec go (Tree.Node (tok, kids)) =
+          (if tok.Ifl.Token.sym = "dsp" then [ Ifl.Value.to_int tok.Ifl.Token.value ]
+           else [])
+          @ List.concat_map go kids
+        in
+        go t)
+      repeated.Shaper.Irgen.trees
+  in
+  Alcotest.(check bool) "colliding load kept" true (List.mem j dsps)
+
 let () =
   Alcotest.run "shaper"
     [
@@ -270,5 +347,7 @@ let () =
           Alcotest.test_case "temp allocated" `Quick test_cse_temp_allocated_in_frame;
           Alcotest.test_case "pure: input untouched" `Quick test_cse_pure;
           Alcotest.test_case "linear allocation" `Quick test_cse_linear;
+          Alcotest.test_case "unrepeated statements untouched" `Quick test_cse_skips_unrepeated;
+          Alcotest.test_case "hash collision" `Quick test_cse_hash_collision;
         ] );
     ]

@@ -192,6 +192,33 @@ let test_bundle_roundtrip_drives_codegen () =
       ("appendix1", Pipeline.Programs.appendix1_equation);
       ("classify", Pipeline.Programs.classify) ]
 
+(* Each distinct action is one value, in a built table and in a loaded
+   one: a row holds the shared [Shift s] / [Reduce p], not a box per
+   entry, so the flat table costs its rows and a few hundred values. *)
+let test_actions_shared () =
+  let check_shared what (t : Cogg.Tables.t) =
+    let first = Hashtbl.create 1024 in
+    let copies = ref 0 and entries = ref 0 in
+    let see a =
+      match Hashtbl.find_opt first a with
+      | Some b -> if b != a then incr copies
+      | None -> Hashtbl.add first a a
+    in
+    Array.iter
+      (Array.iter (fun a ->
+           match a with
+           | Cogg.Parse_table.(Shift _ | Reduce _) ->
+               incr entries;
+               see a
+           | Cogg.Parse_table.(Accept | Error) -> ()))
+      t.Cogg.Tables.parse.Cogg.Parse_table.actions;
+    Alcotest.(check bool) (what ^ ": has shift/reduce entries") true (!entries > 10_000);
+    check_int (what ^ ": entries that copy a shared action") 0 !copies
+  in
+  let t = tables () in
+  check_shared "built" t;
+  check_shared "loaded" (Cogg.Tables_io.read (Cogg.Tables_io.write t))
+
 let test_bundle_rejects_garbage () =
   (match Cogg.Tables_io.read "NOPE" with
   | exception Cogg.Tables_io.Corrupt _ -> ()
@@ -320,6 +347,7 @@ let () =
       ( "bundle",
         [
           Alcotest.test_case "roundtrip drives codegen" `Quick test_bundle_roundtrip_drives_codegen;
+          Alcotest.test_case "actions shared" `Quick test_actions_shared;
           Alcotest.test_case "rejects garbage" `Quick test_bundle_rejects_garbage;
           Alcotest.test_case "names stale formats" `Quick
             test_bundle_names_stale_formats;
